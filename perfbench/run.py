@@ -19,6 +19,8 @@ the current program (do this only for an intended behaviour change).
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
 import json
 import os
 import platform
@@ -33,6 +35,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FINGERPRINTS = os.path.join(ROOT, "perfbench", "fingerprints.json")
 DEFAULT_SEED = 1
 WORKLOAD_NAMES = ("campaign", "fleet", "wide", "replay")
+# The public entry points the workloads call; set-up time includes
+# importing them.
+PROGRAM_MODULES = (
+    "repro.experiments.campaign",
+    "repro.fleet.campaign",
+    "repro.scenarios.runner",
+)
+IMPORT_SAMPLES = 3
 
 
 def _git_rev() -> str | None:
@@ -70,6 +80,27 @@ def _peak_rss_mb() -> float:
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     return (own + children) / 1024.0
+
+
+def stop_children() -> None:
+    """Stop every process this run started and wait for each to end.
+
+    The program joins its fleet workers itself; this catches any left by
+    an error.  Fleet units also start the multiprocessing resource
+    tracker, which would otherwise outlive this process until it noticed
+    the exit and cleaned up after it.
+    """
+    import multiprocessing
+
+    for child in multiprocessing.active_children():
+        child.terminate()
+        child.join()
+    # ``_stop`` (private, present since Python 3.8) closes the tracker's
+    # pipe, which ends it, and reaps it.
+    tracker = sys.modules.get("multiprocessing.resource_tracker")
+    stop = getattr(getattr(tracker, "_resource_tracker", None), "_stop", None)
+    if stop is not None:
+        stop()
 
 
 def check_unit(unit, checks) -> list[str]:
@@ -144,31 +175,74 @@ def _layer_table(workload, recorder, profile_dirs, spans) -> tuple[dict, str]:
     )
 
 
+def import_samples(count: int = IMPORT_SAMPLES) -> list[float]:
+    """Seconds a fresh interpreter takes to import the program's entry
+    points, once per child interpreter (each is waited for)."""
+    code = (
+        "import time; started = time.perf_counter(); "
+        + "; ".join(f"import {module}" for module in PROGRAM_MODULES)
+        + "; print(time.perf_counter() - started)"
+    )
+    path = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    samples = []
+    for _ in range(count):
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        samples.append(float(out.stdout.split()[-1]))
+    return samples
+
+
 def run(args, scratch: str) -> dict:
     import_started = time.perf_counter()
-    import repro.experiments.campaign  # noqa: F401
-    import repro.fleet.campaign  # noqa: F401
-    import repro.scenarios.runner  # noqa: F401
-    from perfbench import checks, metrics, spans
+    for module in PROGRAM_MODULES:
+        importlib.import_module(module)
+    from perfbench import checks, hostspeed, metrics, spans
     from perfbench.workloads import WORKLOADS
 
-    import_s = time.perf_counter() - import_started
+    first_import_s = time.perf_counter() - import_started
     workload = WORKLOADS[args.workload]
     env_before = environment(workload.workers)
 
+    # Warm imports (bytecode cached by the import above) are what every
+    # later start pays; their median is the import part of set-up.
+    setup_speeds = [hostspeed.gauge()]
+    import_times = import_samples()
     setup_samples = []
     states = []
     for index in range(workload.setup_repeats):
         started = time.perf_counter()
         states.append(workload.setup(args.seed, scratch, index))
         setup_samples.append(time.perf_counter() - started)
+    setup_speeds.append(hostspeed.gauge())
 
     def run_unit(spec, profile_dir=None):
         return workload.run(spec, states, scratch, profile_dir=profile_dir)
 
     tally = Tally()
-    plain_units, plain_times = [], []
-    traced_units, traced_s = [], 0.0
+    # Only the quality units' results are kept (for the healing
+    # statistics), so memory does not grow with the number of units run.
+    quality_units, plain_rates, scaled_rates = [], [], []
+    traced_units, traced_rates = [], []
+    # The host's speed, gauged before the first unit and after each one.
+    speeds = [hostspeed.gauge()]
+
+    def measure(spec, profile_dir=None):
+        """Run a unit; return it, its throughput, and that throughput
+        scaled by the host's speed around it (see hostspeed.py)."""
+        unit, seconds = _timed(run_unit, spec, profile_dir=profile_dir)
+        speeds.append(hostspeed.gauge())
+        rate = unit.ticks / seconds
+        return unit, rate, hostspeed.scaled(rate, speeds[-2], speeds[-1])
+
     recorder = spans.SpanRecorder()
     unit_span = recorder.name_id("bench.unit")
     profile_dirs: list[str] = []
@@ -184,10 +258,15 @@ def run(args, scratch: str) -> dict:
         elif index >= workload.quality_units and elapsed >= args.seconds:
             break
         spec = workload.unit_spec(args.seed, index)
-        unit, seconds = _timed(run_unit, spec)
+        # Start every unit from a collected heap, so no unit pays for
+        # the garbage of the one before.
+        gc.collect()
+        unit, rate, scaled = measure(spec)
         tally.record(check_unit(unit, checks))
-        plain_units.append(unit)
-        plain_times.append(seconds)
+        plain_rates.append(rate)
+        scaled_rates.append(scaled)
+        if index < workload.quality_units:
+            quality_units.append(unit)
         if args.trace:
             profile_dir = names = None
             if workload.workers > 1:
@@ -195,10 +274,11 @@ def run(args, scratch: str) -> dict:
                 os.makedirs(profile_dir)
                 profile_dirs.append(profile_dir)
                 names = spans.COORDINATOR_BOUNDARIES
+            gc.collect()
             uninstall = spans.install(recorder, names)
             span = recorder.begin(unit_span)
             try:
-                traced, seconds = _timed(run_unit, spec, profile_dir=profile_dir)
+                traced, _rate, scaled = measure(spec, profile_dir=profile_dir)
             finally:
                 recorder.finish(span)
                 uninstall()
@@ -209,7 +289,7 @@ def run(args, scratch: str) -> dict:
                 errors.append(f"unit {index}: traced statistics differ from untraced")
             tally.record(errors)
             traced_units.append(traced)
-            traced_s += seconds
+            traced_rates.append(scaled)
             if traced.events_path is not None:
                 # The next unit overwrites the log: read it now.
                 events_bytes.append(os.path.getsize(traced.events_path))
@@ -226,7 +306,9 @@ def run(args, scratch: str) -> dict:
         errors.append("default-seed canary fingerprint differs from the recorded one")
     tally.record(errors)
 
-    ticks_per_s = sum(unit.ticks for unit in plain_units) / sum(plain_times)
+    # The median scaled unit: a spell of the host the gauges miss then
+    # moves a minority of units, not the result.
+    ticks_per_s = statistics.median(scaled_rates)
     if args.trace:
         table, source = _layer_table(workload, recorder, profile_dirs, spans)
         traced_ticks = sum(unit.ticks for unit in traced_units)
@@ -235,7 +317,7 @@ def run(args, scratch: str) -> dict:
             recorder.counts,
             traced_units,
             traced_ticks,
-            (traced_ticks / traced_s) / ticks_per_s,
+            statistics.median(traced_rates) / ticks_per_s,
             from_profile=workload.workers > 1,
             events_bytes=events_bytes,
             event_verify=tuple(event_verify),
@@ -247,10 +329,12 @@ def run(args, scratch: str) -> dict:
         )
     else:
         source = "untraced units"
-        quality_units = plain_units[: workload.quality_units]
         values = {
             "ticks_per_s": ticks_per_s,
-            "setup_s": import_s + statistics.median(setup_samples),
+            "setup_s": hostspeed.scaled_seconds(
+                statistics.median(import_times) + statistics.median(setup_samples),
+                setup_speeds,
+            ),
             "peak_rss_mb": _peak_rss_mb(),
             **metrics.healing_quality(
                 [c for unit in quality_units for c in unit.campaigns]
@@ -266,12 +350,14 @@ def run(args, scratch: str) -> dict:
         "seed": args.seed,
         "seconds": args.seconds,
         "trace": args.trace,
-        "units": len(plain_units) + len(traced_units),
-        "import_s": import_s,
+        "units": len(plain_rates) + len(traced_rates),
+        "first_import_s": first_import_s,
+        "import_samples_s": import_times,
         "setup_samples_s": setup_samples,
-        "unit_ticks_per_s": [
-            round(u.ticks / s, 1) for u, s in zip(plain_units, plain_times)
-        ],
+        "unit_ticks_per_s": [round(rate, 1) for rate in plain_rates],
+        "raw_ticks_per_s": statistics.median(plain_rates),
+        "host_speeds": [round(speed, 1) for speed in speeds],
+        "setup_host_speeds": [round(speed, 1) for speed in setup_speeds],
         "per_layer_source": source,
     })
     for name, unit, _better in definitions:
@@ -320,6 +406,7 @@ def main(argv=None) -> int:
             return record_fingerprints(scratch)
         result = run(args, scratch)
     finally:
+        stop_children()
         shutil.rmtree(scratch, ignore_errors=True)
     print(json.dumps(result, sort_keys=True))
     return 0

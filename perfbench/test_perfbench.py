@@ -141,6 +141,46 @@ def test_fingerprint_canonicalizes_hung_transaction_ids():
 
 
 # ----------------------------------------------------------------------
+# Host-speed scaling.
+# ----------------------------------------------------------------------
+
+
+def test_scaled_rates_cancel_a_uniformly_slower_host():
+    from perfbench import hostspeed
+
+    ref = hostspeed.REFERENCE_SPEED
+    assert hostspeed.scaled(3000.0, ref, ref) == pytest.approx(3000.0)
+    assert hostspeed.scaled(2000.0, ref / 1.5, ref / 1.5) == pytest.approx(3000.0)
+    # A unit is scaled by the mean of the gauges on either side of it.
+    assert hostspeed.scaled(1000.0, ref, ref / 2) == pytest.approx(1000.0 / 0.75)
+    assert hostspeed.scaled_seconds(3.0, [ref / 2, ref / 2]) == pytest.approx(1.5)
+
+
+def test_gauge_reads_a_positive_speed():
+    from perfbench import hostspeed
+
+    assert hostspeed.gauge(0.01) > 0
+
+
+# ----------------------------------------------------------------------
+# The runner leaves no process behind.
+# ----------------------------------------------------------------------
+
+
+def test_stop_children_stops_and_reaps_the_resource_tracker():
+    from multiprocessing import resource_tracker
+
+    from perfbench import run
+
+    resource_tracker.ensure_running()
+    pid = resource_tracker._resource_tracker._pid
+    run.stop_children()
+    assert resource_tracker._resource_tracker._pid is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)  # already reaped, so no longer a child
+
+
+# ----------------------------------------------------------------------
 # The seed reaches the program only as generated inputs.
 # ----------------------------------------------------------------------
 

@@ -75,7 +75,7 @@ class Workload:
     name: str
     quality_units: int
     workers: int = 1
-    setup_repeats: int = 3
+    setup_repeats: int = 5
 
     def unit_spec(self, seed: int, index: int, canary: bool = False) -> dict:
         raise NotImplementedError
