@@ -21,6 +21,9 @@ _MAX_HIT_RATIO = 0.995
 # Concavity of hit ratio vs. size: sqrt models the classical diminishing
 # return of cache size under skewed (Zipf-like) access.
 _CONCAVITY = 0.5
+# Weight of one demand observation in a pool's demand EMA.
+_EMA_ALPHA = 0.2
+_EMA_KEEP = 1 - _EMA_ALPHA
 
 
 @dataclass(slots=True)
@@ -49,7 +52,9 @@ class BufferPool:
         ratio = min(1.0, self.pages / demand_pages)
         return _MAX_HIT_RATIO * ratio**_CONCAVITY
 
-    def observe_demand(self, demand_pages: float, alpha: float = 0.2) -> None:
+    def observe_demand(
+        self, demand_pages: float, alpha: float = _EMA_ALPHA
+    ) -> None:
         """Fold one demand observation into the EMA."""
         if self.demand_ema == 0.0:
             self.demand_ema = demand_pages
@@ -93,11 +98,25 @@ class BufferManager:
 
         Pools without an entry in ``demands`` see zero demand this tick.
         """
+        # BufferPool.observe_demand and BufferPool.hit_ratio, inlined
+        # (this runs every database tick); same expressions, same
+        # operand order, so the same floats.
         out = {}
+        demand_get = demands.get
         for name, pool in self.pools.items():
-            demand = demands.get(name, 0.0)
-            pool.observe_demand(demand)
-            out[name] = pool.hit_ratio(demand)
+            demand = demand_get(name, 0.0)
+            ema = pool.demand_ema
+            if ema == 0.0:
+                pool.demand_ema = demand
+            else:
+                pool.demand_ema = _EMA_KEEP * ema + _EMA_ALPHA * demand
+            if demand <= 0:
+                out[name] = _MAX_HIT_RATIO
+            else:
+                ratio = pool.pages / demand
+                if not ratio < 1.0:
+                    ratio = 1.0
+                out[name] = _MAX_HIT_RATIO * ratio**_CONCAVITY
         return out
 
     def miss_ratio(self, name: str, demand_pages: float) -> float:

@@ -28,12 +28,10 @@ fast path mutates the same engine objects the scalar loop does
 auto-ANALYZE), so object state never forks: the two paths can
 interleave tick by tick and stay bit-identical.
 
-Every memoized value in the scalar loop (per-table page and
-contention prices, invalidated when a write grows the table) is a
-pure function of the table's *current* row count, so the columnar
-form needs no cache semantics at all — just the per-class row counts
-``rows_k``, reconstructed with an exclusive per-table prefix sum of
-the growth each write class applies.
+The scalar loop prices each class's table terms (hindsight scan pages,
+contention) from the table's *current* row count, so the columnar form
+needs only the per-class row counts ``rows_k``, reconstructed with an
+exclusive per-table prefix sum of the growth each write class applies.
 """
 
 from __future__ import annotations
@@ -482,9 +480,8 @@ def price_gathered_ticks(jobs) -> list[DatabaseTickResult]:
     optimal = np.where(ind, np.minimum(act_full, act_index), act_full)
 
     # Contention: LockManager.contention_wait_ms elementwise, with
-    # each class priced at its position's current row count (the
-    # scalar loop's per-table memo, invalidated on growth, reduces
-    # to exactly this).
+    # each class priced at its position's current row count, as the
+    # scalar loop does.
     pages_now = np.maximum(1, -(-rows // rpp))
     hot_blocks = np.maximum(1.0, pages_now * hot * part)
     collision = np.minimum(1.0, w * (r + w) / (hot_blocks * 3200.0))
@@ -544,7 +541,9 @@ def price_gathered_ticks(jobs) -> list[DatabaseTickResult]:
                 accel._tables[t].grow(total)
 
         result.mean_service_ms = total_time / result.total_queries
-        result.connections_in_use = engine._connections(result)
+        result.connections_in_use = engine._connections(
+            result.total_queries, result.mean_service_ms
+        )
         if result.connections_in_use >= engine.max_connections:
             result.mean_service_ms *= 1.0 + (
                 result.connections_in_use / engine.max_connections

@@ -134,6 +134,27 @@ class DatabaseEngine:
                 cpu_ms_per_row=template.cpu_ms_per_row,
                 stats=self.statistics.statistics_for(template.table),
             )
+        # The same invariants as flat tuples for the tick loop, which
+        # unpacks one per class instead of reading the fields one by
+        # one.  ``min(1.0, selectivity * 1.0)`` is the clamped
+        # selectivity of a class whose column carries no skew.
+        self._plans = {
+            name: (
+                info.table,
+                info.table_name,
+                info.stats,
+                info.rows_per_page,
+                info.entries_per_page,
+                info.is_write,
+                info.rows_inserted,
+                info.indexed,
+                info.column,
+                info.selectivity,
+                min(1.0, info.selectivity * 1.0),
+                info.cpu_ms_per_row,
+            )
+            for name, info in self._tmpl_info.items()
+        }
 
     # ------------------------------------------------------------------
     # Tick execution.
@@ -142,250 +163,276 @@ class DatabaseEngine:
     def process_tick(
         self, query_counts: dict[str, int], now: int
     ) -> DatabaseTickResult:
-        """Execute one tick's query mix and report database metrics."""
-        result = DatabaseTickResult()
-        active = {
-            name: count
-            for name, count in query_counts.items()
-            if count > 0 and name in self.templates
-        }
-        result.total_queries = sum(active.values())
-        if result.total_queries == 0:
-            result.buffer_hit = self.buffers.hit_ratios({})
-            result.max_staleness = self.statistics.max_staleness()
-            return result
+        """Execute one tick's query mix and report database metrics.
 
-        act_sel: dict[str, float] = {}
+        Two passes over the active classes (positive count, known
+        template), in ``query_counts`` order.  The first sums the
+        buffer pools' working-set demand and the per-table read/write
+        traffic at the tick's starting row counts; the second prices
+        every class against the resulting hit ratios, growing tables
+        as write classes execute, so later classes on a table see the
+        rows earlier ones inserted.
+
+        Builtin ``max``/``min`` calls are written as the conditionals
+        they evaluate to (``max(a, b)`` is ``b if b > a else a`` and
+        ``min(a, b)`` is ``b if b < a else a``, NaN included), and
+        every float expression keeps its operand order, so the results
+        are bit-identical to calling the builtins.  Plan costing is
+        :meth:`Optimizer.plan_numbers` inlined and contention is
+        :meth:`LockManager.contention_wait_ms` inlined: any change to
+        one must be mirrored in the other.
+        ``tests/database/test_tick_differential.py`` pins the tick to
+        both methods and to a reference two-pass loop built on them.
+        """
+        plans_get = self._plans.get
         reads_by_table: dict[str, float] = {}
         writes_by_table: dict[str, float] = {}
-        demands = self._working_set_demand(
-            active, act_sel, reads_by_table, writes_by_table
+        reads_get = reads_by_table.get
+        writes_get = writes_by_table.get
+        # (name, count, plan, actual selectivity) per active class.
+        work = []
+        total_queries = 0
+        data_pages = 0.0
+        index_pages = 0.0
+        log_pages = 0.0
+        for name, count in query_counts.items():
+            if not count > 0:
+                continue
+            plan = plans_get(name)
+            if plan is None:
+                if name in self.templates:
+                    # A template whose table is not in the schema.
+                    raise KeyError(name)
+                continue
+            (table, table_name, _stats, rows_per_page, entries_per_page,
+             is_write, _inserted, indexed, column, selectivity,
+             clamped, _cpu) = plan
+            if column is None:
+                act_sel = selectivity
+            else:
+                skew = table.skew
+                if skew:
+                    act_sel = selectivity * skew.get(column, 1.0)
+                    if not act_sel < 1.0:
+                        act_sel = 1.0
+                else:
+                    act_sel = clamped
+            rows = table.rows
+            pages = -(-rows // rows_per_page)
+            if not pages > 1:
+                pages = 1
+            if indexed:
+                # Random row fetches touch roughly one distinct page
+                # per row until the whole table is hot.
+                fetched = rows * act_sel * count
+                pages = float(pages)
+                data_pages += pages if pages < fetched else fetched
+                entries = rows / entries_per_page
+                index_pages += (entries if entries > 1.0 else 1.0) * 0.05
+            else:
+                data_pages += pages
+            if is_write:
+                log_pages += _LOG_PAGES_PER_WRITE * count
+                writes_by_table[table_name] = (
+                    writes_get(table_name, 0.0) + count
+                )
+            else:
+                reads_by_table[table_name] = (
+                    reads_get(table_name, 0.0) + count
+                )
+            total_queries += count
+            work.append((name, count, plan, act_sel))
+
+        if total_queries == 0:
+            return DatabaseTickResult(
+                total_queries=total_queries,
+                buffer_hit=self.buffers.hit_ratios({}),
+                max_staleness=self.statistics.max_staleness(),
+            )
+        hit_ratios = self.buffers.hit_ratios(
+            {"data": data_pages, "index": index_pages, "log": log_pages}
         )
-        hit_ratios = self.buffers.hit_ratios(demands)
-        result.buffer_hit = hit_ratios
         data_miss = 1.0 - hit_ratios.get("data", 0.0)
         index_miss = 1.0 - hit_ratios.get("index", 0.0)
-
         self._last_traffic = (reads_by_table, writes_by_table)
+
         locks = self.locks
+        deadlocks = 0
         if locks.any_hung:
             hung_wait_ms = locks.block_waiters(now)
             hung_tables: set[str] | tuple = locks.hung_tables()
-            result.deadlocks = len(locks.detect_deadlocks())
+            deadlocks = len(locks.detect_deadlocks())
         else:
             # No hung transactions: nothing to block on, no possible
             # wait-for cycles (identical to the three calls above).
             hung_wait_ms = 0.0
             hung_tables = ()
+        queries_on: dict[str, int] = {}
+        hold_ms = locks.HOLD_MS
+        # Contention numerator ``writes * (reads + writes)`` of every
+        # table written this tick; tables without writes never wait.
+        pressure_get = {
+            table_name: writes * (reads_get(table_name, 0.0) + writes)
+            for table_name, writes in writes_by_table.items()
+        }.get
 
-        # Contention is a pure function of one table's tick traffic, so
-        # each table is priced once and every query class on it reuses
-        # the figure (the old loop recomputed it twice per class).
-        # Plan costing is inlined from Optimizer.plan_numbers — the
-        # per-class loop is the hottest scalar code in the simulator,
-        # and the method-call + attribute-load overhead was measurable.
-        # The golden-stats tests pin this block to plan_numbers: any
-        # change to one must be mirrored in the other.
-        info_map = self._tmpl_info
         opt = self.optimizer
         seq_page_ms = opt.seq_page_ms
         # Shared cost terms: descent and the random-I/O price do not
         # depend on the query class's cardinality.
         descent = opt.index_lookup_ms * (0.2 + 0.8 * index_miss)
         rand_miss_ms = opt.rand_page_ms * data_miss
-        contention: dict[str, float] = {}
-        # Cached per table for the tick: hindsight page term of the
-        # full scan (invalidated with contention when a write grows the
-        # table) and the estimated page term (statistics cannot change
-        # mid-loop — auto-ANALYZE runs after it).
-        act_page_ms: dict[str, float] = {}
-        est_page_ms: dict[str, float] = {}
-        queries_on: dict[str, int] = {}
         mult = self.service_time_multiplier
+        per_class_ms: dict[str, float] = {}
         total_time = 0.0
-        per_class_ms = result.per_class_ms
         timeouts = 0
         plan_regret_ms = 0.0
-        est_act_ratio_max = result.est_act_ratio_max
+        est_act_ratio_max = 1.0
         index_scans = 0
         full_scans = 0
         lock_wait_ms = 0.0
         rows_grown = 0
-        for name, count in active.items():
-            info = info_map[name]
-            table = info.table
-            table_name = info.table_name
-            stats = info.stats
+        for name, count, plan, act_sel in work:
+            (table, table_name, stats, rows_per_page, _entries, is_write,
+             rows_inserted, indexed, column, selectivity, clamped,
+             cpu_ms) = plan
             est_table_rows = stats.recorded_rows
-            column = info.column
-            est_skew = (
-                1.0
-                if column is None
-                else stats.recorded_skew.get(column, 1.0)
-            )
-            est_selectivity = min(1.0, info.selectivity * est_skew)
-            est_rows = max(est_table_rows * est_selectivity, 0.0)
+            recorded_skew = stats.recorded_skew
+            if column is not None and recorded_skew:
+                est_sel = selectivity * recorded_skew.get(column, 1.0)
+                if not est_sel < 1.0:
+                    est_sel = 1.0
+            else:
+                est_sel = clamped
+            est_rows = est_table_rows * est_sel
+            if est_rows < 0.0:
+                est_rows = 0.0
             rows = table.rows
-            act_rows = max(rows * act_sel[name], 0.0)
-            cpu_ms = info.cpu_ms_per_row
+            act_rows = rows * act_sel
+            if act_rows < 0.0:
+                act_rows = 0.0
             per_row = rand_miss_ms + cpu_ms + 0.0001
-            est_index = descent + est_rows * per_row
             act_index = descent + act_rows * per_row
-            est_pages = est_page_ms.get(table_name)
-            if est_pages is None:
-                est_pages = (
-                    max(1.0, est_table_rows / info.rows_per_page)
+            scan_pages = rows / rows_per_page
+            act_full = (
+                (scan_pages if scan_pages > 1.0 else 1.0)
+                * seq_page_ms
+                * data_miss
+                + rows * cpu_ms
+            )
+            if indexed:
+                scan_pages = est_table_rows / rows_per_page
+                est_full = (
+                    (scan_pages if scan_pages > 1.0 else 1.0)
                     * seq_page_ms
                     * data_miss
+                    + est_table_rows * cpu_ms
                 )
-                est_page_ms[table_name] = est_pages
-            act_pages = act_page_ms.get(table_name)
-            if act_pages is None:
-                act_pages = (
-                    max(1.0, rows / info.rows_per_page)
-                    * seq_page_ms
-                    * data_miss
-                )
-                act_page_ms[table_name] = act_pages
-            est_full = est_pages + est_table_rows * cpu_ms
-            act_full = act_pages + rows * cpu_ms
-            if info.indexed and est_index <= est_full:
-                is_index = True
-                act_cost = act_index
+                is_index = descent + est_rows * per_row <= est_full
+                act_cost = act_index if is_index else act_full
+                optimal = act_index if act_index < act_full else act_full
             else:
                 is_index = False
-                act_cost = act_full
-            optimal = min(act_full, act_index) if info.indexed else act_full
-            wait_ms = contention.get(table_name)
-            if wait_ms is None:
-                wait_ms = self.locks.contention_wait_ms(
-                    table_name,
-                    reads_by_table.get(table_name, 0.0),
-                    writes_by_table.get(table_name, 0.0),
+                act_cost = optimal = act_full
+
+            pressure = pressure_get(table_name)
+            if pressure is None:
+                wait_ms = 0.0
+            else:
+                # Birthday-style collisions on the table's hot blocks
+                # at its current size.
+                pages = -(-rows // rows_per_page)
+                hot_blocks = (
+                    (pages if pages > 1 else 1)
+                    * table.hot_fraction
+                    * table.partitions
                 )
-                contention[table_name] = wait_ms
-            per_exec = act_cost * mult
-            per_exec += wait_ms
-            if table_name in hung_tables:
-                queries_on_table = queries_on.get(table_name)
-                if queries_on_table is None:
-                    queries_on_table = sum(
-                        c
-                        for n, c in active.items()
-                        if info_map[n].table_name == table_name
+                if not hot_blocks > 1.0:
+                    hot_blocks = 1.0
+                collision = pressure / (hot_blocks * 3200.0)
+                wait_ms = (collision if collision < 1.0 else 1.0) * hold_ms
+            per_exec = act_cost * mult + wait_ms
+            if hung_tables and table_name in hung_tables:
+                on_table = queries_on.get(table_name)
+                if on_table is None:
+                    on_table = sum(
+                        c for _, c, p, _ in work if p[1] == table_name
                     )
-                    queries_on[table_name] = queries_on_table
-                per_exec += hung_wait_ms / max(1, queries_on_table)
-                timeouts += max(
-                    1, count // 4
-                )  # blocked statements hit the client timeout
+                    queries_on[table_name] = on_table
+                per_exec += hung_wait_ms / (on_table if on_table > 1 else 1)
+                # Blocked statements hit the client timeout.
+                blocked = count // 4
+                timeouts += blocked if blocked > 1 else 1
 
             per_class_ms[name] = per_exec
             total_time += per_exec * count
-            plan_regret_ms += max(0.0, act_cost - optimal) * count
+            regret = act_cost - optimal
+            if regret > 0.0:
+                plan_regret_ms += regret * count
             # Symmetric divergence: both over- and under-estimation of
             # cardinalities (Example 5's Xest vs Xact) should register.
             if est_rows <= 0:
                 ratio = float("inf") if act_rows > 0 else 1.0
             else:
                 ratio = act_rows / est_rows
-            divergence = max(ratio, 1.0 / ratio) if ratio > 0 else 1e6
-            if divergence > est_act_ratio_max:
-                est_act_ratio_max = min(divergence, 1e6)
+            # A ratio of exactly 1 diverges by 1, which never raises
+            # the running maximum (it starts at 1).
+            if ratio != 1.0:
+                if ratio > 0:
+                    inverse = 1.0 / ratio
+                    divergence = inverse if inverse > ratio else ratio
+                else:
+                    divergence = 1e6
+                if divergence > est_act_ratio_max:
+                    est_act_ratio_max = (
+                        1e6 if 1e6 < divergence else divergence
+                    )
             if is_index:
                 index_scans += count
             else:
                 full_scans += count
             lock_wait_ms += wait_ms * count
-            if info.is_write:
-                grown = info.rows_inserted * count
-                table.grow(grown)
+            if is_write:
+                grown = rows_inserted * count
+                # Table.grow: later classes on this table price (and
+                # collide on) the grown table.
+                rows = rows + int(grown)
+                table.rows = rows if rows > 0 else 0
                 rows_grown += grown
-                if grown:
-                    # Growth changes the table's page count, which
-                    # feeds the collision model and the hindsight scan
-                    # cost — later query classes on this table must
-                    # re-price both.
-                    contention.pop(table_name, None)
-                    act_page_ms.pop(table_name, None)
 
-        result.timeouts = timeouts
-        result.plan_regret_ms = plan_regret_ms
-        result.est_act_ratio_max = est_act_ratio_max
-        result.index_scans = index_scans
-        result.full_scans = full_scans
-        result.rows_grown = rows_grown
-        result.lock_wait_ms = lock_wait_ms + hung_wait_ms
-        result.mean_service_ms = total_time / result.total_queries
-        result.connections_in_use = self._connections(result)
-        if result.connections_in_use >= self.max_connections:
+        mean_service_ms = total_time / total_queries
+        connections = self._connections(total_queries, mean_service_ms)
+        if connections >= self.max_connections:
             # Saturated pool: waiting for a connection dominates.
-            result.mean_service_ms *= 1.0 + (
-                result.connections_in_use / self.max_connections
-            )
-        result.max_staleness = (
-            self.statistics.auto_analyze_and_max_staleness(now)
+            mean_service_ms *= 1.0 + connections / self.max_connections
+        # Positional, in field order: keywords cost more than the
+        # whole result construction.
+        return DatabaseTickResult(
+            per_class_ms,
+            mean_service_ms,
+            total_queries,
+            hit_ratios,
+            lock_wait_ms + hung_wait_ms,
+            deadlocks,
+            timeouts,
+            est_act_ratio_max,
+            plan_regret_ms,
+            full_scans,
+            index_scans,
+            rows_grown,
+            self.statistics.auto_analyze_and_max_staleness(now),
+            connections,
         )
-        return result
 
-    def _working_set_demand(
-        self,
-        active: dict[str, int],
-        act_sel: dict[str, float],
-        reads_by_table: dict[str, float] | None = None,
-        writes_by_table: dict[str, float] | None = None,
-    ) -> dict[str, float]:
-        """Pages each buffer pool must hold to absorb this tick's mix.
-
-        One pass fills three per-tick side products the costing loop
-        needs anyway: ``act_sel`` (each class's actual selectivity —
-        pure skew, fixed within a tick), and the read/write traffic
-        dicts formerly built by a separate ``_table_traffic`` pass.
-        """
-        data_pages = 0.0
-        index_pages = 0.0
-        log_pages = 0.0
-        info_map = self._tmpl_info
-        for name, count in active.items():
-            info = info_map[name]
-            table = info.table
-            # Inlined Table.actual_selectivity (hot path).
-            column = info.column
-            if column is None:
-                selectivity = info.selectivity
-            else:
-                selectivity = min(
-                    1.0, info.selectivity * table.skew.get(column, 1.0)
-                )
-            act_sel[name] = selectivity
-            act_rows = table.rows * selectivity
-            rows = table.rows
-            if info.indexed:
-                # Random row fetches touch roughly one distinct page
-                # per row until the whole table is hot.
-                pages = max(1, -(-rows // info.rows_per_page))
-                data_pages += min(act_rows * count, float(pages))
-                index_pages += max(1.0, rows / info.entries_per_page) * 0.05
-            else:
-                data_pages += max(1, -(-rows // info.rows_per_page))
-            if info.is_write:
-                log_pages += _LOG_PAGES_PER_WRITE * count
-                if writes_by_table is not None:
-                    table_name = info.table_name
-                    writes_by_table[table_name] = (
-                        writes_by_table.get(table_name, 0.0) + count
-                    )
-            elif reads_by_table is not None:
-                table_name = info.table_name
-                reads_by_table[table_name] = (
-                    reads_by_table.get(table_name, 0.0) + count
-                )
-        return {"data": data_pages, "index": index_pages, "log": log_pages}
-
-    def _connections(self, result: DatabaseTickResult) -> int:
+    def _connections(
+        self, total_queries: float, mean_service_ms: float
+    ) -> int:
         """Little's-law estimate of concurrently open connections."""
-        offered = result.total_queries * result.mean_service_ms / 1000.0
-        return int(min(self.max_connections * 2, max(1.0, offered * 1.2)))
+        offered = total_queries * mean_service_ms / 1000.0 * 1.2
+        if not offered > 1.0:
+            offered = 1.0
+        ceiling = self.max_connections * 2
+        return int(offered if offered < ceiling else ceiling)
 
     # ------------------------------------------------------------------
     # Fix entry points (Table 1, database rows).

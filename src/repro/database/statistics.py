@@ -156,7 +156,13 @@ class StatisticsCatalog:
         enabled = self.auto_analyze_enabled
         worst: float | None = None
         for name, stats in self._stats.items():
-            staleness = stats.staleness(tables[name].rows)
+            # TableStatistics.staleness, inlined (runs every tick).
+            rows = tables[name].rows
+            recorded = stats.recorded_rows
+            if recorded <= 0:
+                staleness = float("inf") if rows > 0 else 1.0
+            else:
+                staleness = rows / recorded
             if enabled and staleness > threshold:
                 self.analyze(name, now)
                 staleness = stats.staleness(tables[name].rows)

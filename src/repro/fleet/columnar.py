@@ -6,15 +6,11 @@ are computed, never the numbers themselves — every acceleration is
 individually bit-exact against the object path, which remains the
 reference implementation behind ``engine="object"``:
 
-* each member's web and database tiers serve their service-time
-  jitter from block-prefetched normal draws
-  (:class:`repro.simulator.fastdraw.BufferedNormal`) — array fills
-  consume the PCG64 bit stream identically to scalar draws, so the
-  values are the same floats;
 * each member's database engine gets the columnar tick dispatcher
-  (:mod:`repro.database.columnar`), which prices wide query mixes as
-  array expressions and delegates narrow or irregular (faulted) ticks
-  to the scalar reference loop;
+  (:func:`repro.database.columnar.install_columnar_engine`, installed
+  by :class:`~repro.fleet.member.FleetMember`), which prices wide
+  query mixes as array expressions and delegates narrow or irregular
+  (faulted) ticks to the scalar reference loop;
 * the serial coordinator's knowledge barrier merges each round's
   contributions as one stacked ragged append
   (:meth:`SharedKnowledgeBase.contribute_batch_coded` over the
@@ -24,6 +20,11 @@ reference implementation behind ``engine="object"``:
 The stacked merge stores identical entries (sequence, source order,
 symptom bytes, decoded strings); only the internal vocabulary coding
 differs, which no consumer observes.
+
+Block-buffered jitter draws
+(:class:`repro.simulator.fastdraw.BufferedNormal`) are not part of this
+layer: buffered jitter is the default of every ``MultitierService``,
+so both engines and the single-service path run on it.
 """
 
 from __future__ import annotations
@@ -32,33 +33,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.database.columnar import install_columnar_engine
 from repro.fleet.knowledge import SharedKnowledgeBase
 from repro.fleet.transport import Vocab, pack_ragged
-from repro.simulator.fastdraw import BufferedNormal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fleet.member import FleetMember, FleetRoundStats
+    from repro.fleet.member import FleetRoundStats
 
-__all__ = ["install_columnar_member", "merge_round_columnar"]
-
-# The web/database tiers draw only this service-time jitter from
-# their private streams (see ``MultitierService``): the precondition
-# for block buffering.
-_JITTER = (1.0, 0.04)
-
-
-def install_columnar_member(member: FleetMember) -> None:
-    """Install the columnar accelerations on a freshly built member.
-
-    Must run before the member's first tick (a generator that has
-    already served draws can still be wrapped, but installation at
-    construction keeps the invariant trivial).
-    """
-    service = member.service
-    service.web._rng = BufferedNormal(service.web._rng, *_JITTER)
-    service.db._rng = BufferedNormal(service.db._rng, *_JITTER)
-    install_columnar_engine(service.db.engine)
+__all__ = ["merge_round_columnar"]
 
 
 def merge_round_columnar(

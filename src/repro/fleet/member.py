@@ -151,9 +151,9 @@ class FleetMember:
         self.telemetry = telemetry_obj
         self.columnar = columnar
         if columnar:
-            from repro.fleet.columnar import install_columnar_member
+            from repro.database.columnar import install_columnar_engine
 
-            install_columnar_member(self)
+            install_columnar_engine(self.service.db.engine)
         self.slo_flags: list[bool] | None = None
         if track_slo:
             self.slo_flags = []

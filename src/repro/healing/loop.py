@@ -237,9 +237,6 @@ class SelfHealingLoop:
         self.approach.observe_tick(self.harness.last_row, snapshot.slo_violated)
         return snapshot, event
 
-    # Backwards-compatible alias (pre-fleet internal name).
-    _tick = step_once
-
     def warmup(self, ticks: int | None = None) -> None:
         """Run fault-free until the baseline is established."""
         drive_ticks(self, self.warmup_gen(ticks))

@@ -32,6 +32,7 @@ from repro.scenarios.packs import (
 )
 from repro.scenarios.trace import (
     RecordingInjector,
+    ReplayFault,
     ReplayInjector,
     ReplayService,
     TraceExhausted,
@@ -220,8 +221,22 @@ def run_scenario(
 # ----------------------------------------------------------------------
 
 
-def _drive_replay(loop: SelfHealingLoop, absorbs: list[dict]) -> None:
-    """Advance a replay loop to trace end, applying absorb events.
+def _drive_replay(
+    loop: SelfHealingLoop, faults: list[ReplayFault], absorbs: list[dict]
+) -> None:
+    """Advance a replay loop to trace end, healing where the recording did.
+
+    The recording campaign heals only inside an episode
+    (:func:`~repro.experiments.campaign.run_episode_gen`): from a
+    fault's injection until the first heal after it completes, or until
+    the episode gives up and clears that fault as ``undetected``.
+    Warm-up and the settling between episodes step the loop without
+    healing, so a false alarm raised there goes unanswered.  The replay
+    opens and closes the same episode windows from the recorded
+    ``inject`` and ``clear`` lines.  (A fault that clears itself before
+    its episode gives up leaves no ``undetected`` line, and the trace
+    does not record the wait budget; its window then stays open until
+    a heal completes or the next injection.)
 
     Absorption barriers were recorded at quiescent ticks (between
     episodes), so applying each one as the replay clock reaches its
@@ -230,9 +245,12 @@ def _drive_replay(loop: SelfHealingLoop, absorbs: list[dict]) -> None:
     from repro.fleet.knowledge import KnowledgeEntry
 
     events = deque(sorted(absorbs, key=lambda e: int(e["t"])))
+    injections = deque(sorted(faults, key=lambda f: f.injected_at))
+    episode: ReplayFault | None = None
     try:
         while True:
-            while events and loop.service.tick >= int(events[0]["t"]):
+            now = loop.service.tick
+            while events and now >= int(events[0]["t"]):
                 event = events.popleft()
                 entries = [
                     KnowledgeEntry(
@@ -246,7 +264,18 @@ def _drive_replay(loop: SelfHealingLoop, absorbs: list[dict]) -> None:
                 ]
                 if entries:
                     loop.approach.absorb(entries)
-            loop.run(1)
+            while injections and now >= injections[0].injected_at:
+                episode = injections.popleft()
+            if (
+                episode is not None
+                and episode.cleared_by == "undetected"
+                and now >= episode.cleared_at
+            ):
+                episode = None
+            _, failure = loop.step_once()
+            if failure is not None and episode is not None:
+                loop.heal(failure)
+                episode = None
     except TraceExhausted:
         pass
 
@@ -278,7 +307,7 @@ def _replay_member(
         include_invasive=include_invasive,
         seed=seed,
     )
-    _drive_replay(loop, member.absorbs)
+    _drive_replay(loop, member.faults, member.absorbs)
     return CampaignResult(
         reports=list(loop.reports),
         injected=member.injected,

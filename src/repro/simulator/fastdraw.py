@@ -13,9 +13,11 @@ database tiers qualify: each owns a private generator derived from
 ``(seed, "web")`` / ``(seed, "db")`` and draws only the per-tick
 service-time jitter ``normal(1.0, 0.04)`` from it — no fault, fix, or
 scenario code touches those streams (the app tier's stream mixes
-Poisson and normal draws and does *not* qualify).  The wrapper guards
-the contract at runtime: a draw with unexpected parameters raises
-instead of silently desynchronizing the stream.
+Poisson and normal draws and does *not* qualify).  Buffered jitter is
+therefore the default: every :class:`MultitierService` builds both
+tiers on a :class:`BufferedNormal`, on every execution path.  The
+wrapper guards the contract at runtime: a draw with unexpected
+parameters raises instead of silently desynchronizing the stream.
 
 :func:`verify_buffered_stream` is the self-check the equivalence tests
 run: it replays twin generators — one scalar, one buffered — and
@@ -26,9 +28,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BufferedNormal", "verify_buffered_stream"]
+__all__ = ["JITTER", "BufferedNormal", "verify_buffered_stream"]
 
 _BLOCK = 256
+
+# The ``(loc, scale)`` of the web and database tiers' service-time
+# jitter: the only draws their private streams serve.
+JITTER = (1.0, 0.04)
 
 
 class BufferedNormal:
@@ -61,7 +67,8 @@ class BufferedNormal:
         self._loc = loc
         self._scale = scale
         self._block = block
-        self._buf = np.zeros(0)
+        # Python floats: serving one skips a NumPy scalar conversion.
+        self._buf: list[float] = []
         self._pos = 0
 
     def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
@@ -73,13 +80,14 @@ class BufferedNormal:
                 f"with ({loc}, {scale}) would desynchronize it"
             )
         pos = self._pos
-        if pos >= len(self._buf):
-            self._buf = self._rng.normal(
+        buf = self._buf
+        if pos >= len(buf):
+            buf = self._buf = self._rng.normal(
                 self._loc, self._scale, size=self._block
-            )
+            ).tolist()
             pos = 0
         self._pos = pos + 1
-        return float(self._buf[pos])
+        return buf[pos]
 
 
 def verify_buffered_stream(

@@ -18,6 +18,7 @@ import numpy as np
 from repro.database.engine import DatabaseEngine
 from repro.simulator.config import ServiceConfig
 from repro.simulator.ejb import EJBContainer
+from repro.simulator.fastdraw import JITTER, BufferedNormal
 from repro.simulator.rng import derive_rng
 from repro.simulator.slo import SLO, SLOMonitor
 from repro.simulator.tiers.app import AppTier
@@ -174,10 +175,13 @@ class MultitierService:
                 buffer_pages=self.config.db_buffer_pages,
                 max_connections=self.config.db_max_connections,
             )
+        # The web and database streams serve only the tiers'
+        # service-time jitter, so both are block-buffered (bit-exact
+        # to scalar draws; see repro.simulator.fastdraw).
         self.web = WebTier(
             self.config.web_workers,
             self.config.web_service_ms,
-            derive_rng(seed, "web"),
+            BufferedNormal(derive_rng(seed, "web"), *JITTER),
         )
         self.app = AppTier(
             self.config.app_threads,
@@ -189,7 +193,7 @@ class MultitierService:
             self.config.db_workers,
             engine,
             container.blueprints,
-            derive_rng(seed, "db"),
+            BufferedNormal(derive_rng(seed, "db"), *JITTER),
         )
         self.network_ms_per_hop = self.config.network_ms_per_hop
         self.network_multiplier = 1.0  # network-fault lever

@@ -76,20 +76,16 @@ class DatabaseTier(QueueingTier):
         db_ms_per_type: dict[str, float] = {}
         pc_get = engine_result.per_class_ms.get
         counts_get = request_counts.get
+        # A Python float per call from a Generator or a BufferedNormal.
         normal = self._rng.normal
         for request_type, queries in self._bp_queries.items():
             if counts_get(request_type, 0) <= 0:
                 continue
             total = 0.0
             for query, per_request in queries:
-                per_exec = pc_get(query)
-                if per_exec is None:
-                    # Unknown or idle query class: flat nominal cost.
-                    per_exec = 0.3
-                total += per_exec * per_request
-            db_ms_per_type[request_type] = total * abs(
-                float(normal(1.0, 0.04))
-            )
+                # Unknown or idle query class: flat nominal cost.
+                total += pc_get(query, 0.3) * per_request
+            db_ms_per_type[request_type] = total * abs(normal(1.0, 0.04))
 
         # Queueing at the DB worker slots, driven by aggregate demand.
         total_queries = sum(query_counts.values())

@@ -186,3 +186,24 @@ class TestScenarioCLI:
         # recorded run (the CLI acceptance check).
         stats = format_scenario(replay_campaign(path))
         assert stats in replay_out
+
+
+class TestReplayHealsOnlyInsideEpisodes:
+    def test_bursty_false_alarms_between_episodes_stay_unhealed(
+        self, tmp_path
+    ):
+        # flash_crowd's recurring bursts raise false alarms while the
+        # recording campaign warms up and settles between episodes,
+        # where it does not heal; a replay that healed them would learn
+        # from episodes the recording never ran and pick other fixes.
+        path = str(tmp_path / "flash_crowd_8.jsonl")
+        run = run_scenario(
+            "flash_crowd", seed=8, n_episodes=6, record_path=path
+        )
+        replayed = replay_campaign(path)
+        assert replayed.result.injected == run.result.injected
+        assert replayed.result.undetected == run.result.undetected
+        assert len(replayed.result.reports) == len(run.result.reports)
+        for a, b in zip(run.result.reports, replayed.result.reports):
+            _assert_reports_equal(a, b)
+        assert format_scenario(replayed) == format_scenario(run)

@@ -92,3 +92,49 @@ class TestWorkload:
             Workload(bidding_profile(), 0.0, rng)
         with pytest.raises(ValueError):
             Workload(bidding_profile(), 1.0, rng, pattern="square")
+
+
+class TestArrivalStream:
+    """``requests_at`` consumes exactly one scalar ``poisson(rate * p)``
+    per active type, in registry order — the same bits a single array
+    call over the tick's lambdas consumes — so arrivals are a pure
+    function of the stream however they are drawn."""
+
+    PATTERNS = (
+        ("constant", {}),
+        ("surge", {"surge_start": 20, "surge_end": 45, "surge_factor": 3.5}),
+        ("diurnal", {"diurnal_period": 90.0}),
+        ("bursty", {"surge_period": 17, "surge_duration": 5}),
+    )
+
+    @pytest.mark.parametrize("pattern, options", PATTERNS)
+    def test_matches_scalar_and_array_draws(self, pattern, options):
+        seed = 2024
+        workload = Workload(
+            bidding_profile(),
+            140.0,
+            np.random.default_rng(seed),
+            pattern=pattern,
+            **options,
+        )
+        scalar_rng = np.random.default_rng(seed)
+        array_rng = np.random.default_rng(seed)
+        mix = bidding_profile()
+        types = [t for t in REQUEST_TYPES if mix.probability(t) > 0]
+        probs = np.array([mix.probability(t) for t in types])
+        for tick in range(120):
+            # Load-balancer and fault levers move the rate mid-run.
+            if tick in (30, 70, 100):
+                workload.rate_multiplier = {30: 2.5, 70: 0.3, 100: 1.0}[tick]
+            counts = workload.requests_at(tick)
+            rate = workload.rate_at(tick)
+            scalar = [
+                int(scalar_rng.poisson(rate * p)) for p in probs.tolist()
+            ]
+            batched = array_rng.poisson(rate * probs).tolist()
+            assert list(counts) == types
+            assert list(counts.values()) == scalar == batched
+            assert all(type(c) is int for c in counts.values())
+        state = workload._rng.bit_generator.state
+        assert state == scalar_rng.bit_generator.state
+        assert state == array_rng.bit_generator.state
