@@ -26,26 +26,6 @@ absorbed, and the per-round knowledge watermark lag.  Wall-clock
 transport timings live *only* here — the flight-recorder event log is
 tick-clock-deterministic and never carries them.
 
-Schema ``repro-perf/4`` adds the columnar fleet engine: every sweep
-point times ``engine="columnar"`` against the object reference
-(``columnar_speedup``), and a ``columnar_kernel`` section measures the
-vectorized database tick against the scalar loop at batch widths 13
-(the stock RUBiS mix — below the dispatch threshold, so it measures
-delegation overhead) through 512.  ``--check-equivalence`` now also
-verifies the columnar engine against the serial object reference, and
-``--golden`` replays the committed 256-service golden in both
-engines; ``--gate-columnar`` is the non-regression perf gate.
-
-Schema ``repro-perf/5`` adds the fused monitoring layer: every fleet
-sweep point also times the columnar engine with fusion disabled
-(``fuse=False`` — per-member accelerators, classic pump) and records
-``fused_speedup`` (fused / unfused columnar ticks-per-sec) plus the
-run's fused-fleet counters, so the trajectory separates the fusion win
-from the underlying columnar win.  ``--check-equivalence`` fails if a
-stock columnar campaign silently falls back to the per-member pump,
-and ``--gate-columnar`` additionally requires the 64-service gate run
-to have fused every member and executed batched engine ticks.
-
 Schema ``repro-perf/6`` adds the bounded-staleness exchange: a
 ``staleness`` section sweeps K in {0, 1, 4, inf}, timing each budget
 through the free-running sharded executor (``parallel_speedup``,
@@ -61,6 +41,13 @@ oversubscribed flag marks those points.  ``--check-equivalence`` now
 also pins the staleness executor: K=0 must be bit-identical to the
 barrier (serial and sharded), and K>0 must complete within its lag
 budget without regressing missed detections.
+
+Schema ``repro-perf/7`` removes what schemas 4 and 5 added for the
+columnar fleet engine and the fused monitoring plane, both deleted
+(see docs/performance.md): the ``columnar_kernel`` section and the
+``columnar_speedup`` / ``fused_speedup`` / ``fused_counters`` fields of
+every fleet sweep point.  ``--check-equivalence`` and ``--golden``
+lost their engine axis with them.
 
 The workloads are fixed-seed campaigns (the same shapes the
 golden-stats equivalence tests pin down), so successive runs measure
@@ -83,7 +70,6 @@ import time
 __all__ = [
     "check_fleet_equivalence",
     "check_staleness_divergence",
-    "gate_columnar_throughput",
     "main",
     "replay_golden",
     "run_perf_suite",
@@ -147,8 +133,6 @@ def _time_fleet(
     seed: int,
     workers: int,
     repeats: int,
-    engine: str = "object",
-    fuse: bool = True,
     staleness_rounds: int | float | None = None,
 ) -> dict:
     """Best-of-``repeats`` ticks/sec for one fleet configuration."""
@@ -161,8 +145,6 @@ def _time_fleet(
             episodes_per_service=episodes,
             seed=seed,
             workers=workers,
-            engine=engine,
-            fuse=fuse,
             staleness_rounds=staleness_rounds,
         )
         runs.append(
@@ -209,32 +191,11 @@ def _bench_fleet(
     for n_services in sweep_services:
         workers = min(n_services, 4)
         serial = _time_fleet(n_services, episodes, seed, 1, repeats)
-        columnar = _time_fleet(
-            n_services, episodes, seed, 1, repeats, engine="columnar"
-        )
-        unfused = _time_fleet(
-            n_services,
-            episodes,
-            seed,
-            1,
-            repeats,
-            engine="columnar",
-            fuse=False,
-        )
         point = {
             "n_services": n_services,
             "episodes_per_service": episodes,
             "workers": workers,
             "serial_ticks_per_sec": serial["ticks_per_sec"],
-            "columnar_ticks_per_sec": columnar["ticks_per_sec"],
-            "columnar_speedup": round(
-                columnar["ticks_per_sec"] / serial["ticks_per_sec"], 3
-            ),
-            "unfused_columnar_ticks_per_sec": unfused["ticks_per_sec"],
-            "fused_speedup": round(
-                columnar["ticks_per_sec"] / unfused["ticks_per_sec"], 3
-            ),
-            "fused_counters": columnar["transport"]["fused"],
         }
         # Efficiency against the workers the hardware can actually
         # run: dividing by *requested* workers on a smaller box
@@ -271,8 +232,7 @@ def _bench_fleet(
             f"efficiency {point['scaling_efficiency_effective']:.3f}"
             f" over {effective_workers} effective workers"
             + (" [oversubscribed]" if point["oversubscribed"] else "")
-            + f", columnar {point['columnar_speedup']:.2f}x, "
-            f"fused {point['fused_speedup']:.2f}x)"
+            + ")"
         )
     # Headline numbers stay on the 4-service shape for continuity
     # with the pre-sweep BENCH_perf.json trajectory.
@@ -421,110 +381,6 @@ def _bench_staleness(quick: bool, repeats: int) -> dict:
     }
 
 
-def _kernel_engines(width: int):
-    """Twin engines (scalar reference, columnar) with ``width`` classes.
-
-    The RUBiS template set is 13 classes wide; wider mixes replicate
-    it under fresh names (``c<i>_<name>``) so the columnar kernel's
-    batch scaling can be measured beyond the stock schema.
-    """
-    from dataclasses import replace
-
-    from repro.database.columnar import install_columnar_engine
-    from repro.database.engine import DatabaseEngine
-    from repro.database.queries import rubis_query_templates
-
-    base = list(rubis_query_templates().values())
-    templates = {}
-    i = 0
-    while len(templates) < width:
-        template = base[i % len(base)]
-        name = (
-            template.name
-            if i < len(base)
-            else f"c{i}_{template.name}"
-        )
-        templates[name] = replace(template, name=name)
-        i += 1
-    reference = DatabaseEngine(templates=dict(templates))
-    columnar = DatabaseEngine(templates=dict(templates))
-    install_columnar_engine(columnar)
-    return reference, columnar, list(templates)
-
-
-def _bench_columnar_kernel(quick: bool, repeats: int) -> dict:
-    """Scalar-vs-columnar database tick at growing batch widths.
-
-    Times ``DatabaseEngine.process_tick`` on a full-width query mix —
-    the shape the columnar kernel vectorizes — against the scalar
-    reference loop on an identical twin engine, asserting identical
-    results while timing.  Below the dispatch threshold
-    (``MIN_BATCH``) the kernel delegates to the scalar loop, so narrow
-    points measure the dispatch overhead, wide points the vector win.
-    """
-    import numpy as np
-
-    from repro.database.columnar import MIN_BATCH
-
-    widths = (13, 64) if quick else (13, 64, 128, 256, 512)
-    ticks = 100 if quick else 200
-    points = []
-    for width in widths:
-        reference, columnar, names = _kernel_engines(width)
-        rng = np.random.default_rng(width)
-        counts_per_tick = [
-            {
-                name: int(count)
-                for name, count in zip(
-                    names, rng.integers(1, 40, size=width)
-                )
-            }
-            for _ in range(ticks)
-        ]
-        best = {}
-        for label, engine in (
-            ("scalar", reference),
-            ("columnar", columnar),
-        ):
-            samples = []
-            for _ in range(repeats):
-                started = time.perf_counter()
-                results = [
-                    engine.process_tick(counts, tick)
-                    for tick, counts in enumerate(counts_per_tick)
-                ]
-                samples.append(
-                    (time.perf_counter() - started) / ticks * 1e6
-                )
-            best[label] = (min(samples), results)
-        assert best["scalar"][1] == best["columnar"][1], (
-            f"kernel drift at width {width}"
-        )
-        point = {
-            "width": width,
-            "scalar_us_per_tick": round(best["scalar"][0], 2),
-            "columnar_us_per_tick": round(best["columnar"][0], 2),
-            "speedup": round(best["scalar"][0] / best["columnar"][0], 3),
-        }
-        points.append(point)
-        print(
-            f"  kernel width={width:<4} scalar "
-            f"{point['scalar_us_per_tick']:>8.2f}us  columnar "
-            f"{point['columnar_us_per_tick']:>8.2f}us  "
-            f"speedup {point['speedup']:.2f}x"
-        )
-    return {
-        "min_batch": MIN_BATCH,
-        "ticks_per_width": ticks,
-        "points": points,
-        # The suite-level summary line wants a ticks_per_sec field;
-        # report the widest columnar point's tick rate.
-        "ticks_per_sec": round(
-            1e6 / points[-1]["columnar_us_per_tick"], 1
-        ),
-    }
-
-
 def _bench_replay(quick: bool, repeats: int) -> dict:
     """Ticks/sec of replaying a recorded scenario telemetry trace."""
     from repro.scenarios.runner import replay_campaign, run_scenario
@@ -571,7 +427,6 @@ def run_perf_suite(
         ("single_service", _bench_single_service),
         ("fleet", lambda q, r: _bench_fleet(q, r, services)),
         ("staleness", _bench_staleness),
-        ("columnar_kernel", _bench_columnar_kernel),
         ("scenario_replay", _bench_replay),
     ):
         started = time.perf_counter()
@@ -581,7 +436,7 @@ def run_perf_suite(
             f"({time.perf_counter() - started:.1f}s measured)"
         )
     return {
-        "schema": "repro-perf/6",
+        "schema": "repro-perf/7",
         "quick": quick,
         "repeats": repeats,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -598,30 +453,16 @@ def check_fleet_equivalence(
     episodes_per_service: int = 2,
     seed: int = 23,
     worker_counts: tuple[int, ...] = (2,),
-    engines: tuple[str, ...] = ("object", "columnar"),
 ) -> bool:
     """Verify every fleet execution path is bit-identical.
 
-    The reference is the serial in-process runner with the object
-    engine.  Against it, the check runs the same campaign with the
-    columnar engine and with each sharded worker count (per engine),
-    and compares every episode report field plus the knowledge-base
+    The reference is the serial in-process runner.  Against it, the
+    check runs the same campaign with each sharded worker count and
+    compares every episode report field plus the knowledge-base
     counters.  Prints a verdict per configuration; returns True when
-    everything matched.  This is the CI regression smoke for both the
-    shared-memory transport and the columnar engine: any encoding or
-    vectorization bug that perturbs the aggregate statistics fails it
-    immediately.
-
-    Columnar configurations must also *actually* cross the fused
-    monitoring path: a stock fleet (no recorder, stock monitoring
-    stacks) that reports any structural fallback members has lost the
-    fused plane silently, which would otherwise only show up as a
-    slow perf trajectory — so it fails this check too.  Serial runs
-    must fuse every member outright; sharded runs may defer
-    narrow shards (a worker owning too few members to reach the
-    batch crossover keeps the classic pump by design), so they are
-    held to zero *structural* fallback with every member accounted
-    fused-or-narrow.
+    everything matched.  This is the CI regression smoke for the
+    shared-memory transport: any encoding bug that perturbs the
+    aggregate statistics fails it immediately.
 
     Since the bounded-staleness executor landed, the gate also runs
     the K=0 staleness configurations — serial-delayed and the
@@ -678,43 +519,14 @@ def check_fleet_equivalence(
         f"seed {seed})"
     )
     ok = True
-    for engine in engines:
-        configurations = [
-            (workers, engine) for workers in worker_counts
-        ]
-        if engine != "object":
-            configurations.insert(0, (1, engine))
-        for workers, config_engine in configurations:
-            result = run_fleet_campaign(
-                workers=workers, engine=config_engine, **shape
-            )
-            matched = fingerprint(result) == serial
-            ok = ok and matched
-            print(
-                f"fleet equivalence workers={workers} "
-                f"engine={config_engine} vs serial object {shape_label}: "
-                f"{'identical' if matched else 'MISMATCH'}"
-            )
-            if config_engine == "columnar":
-                fused = result.transport.get("fused")
-                fused_ok = (
-                    fused is not None
-                    and fused["fallback_members"] == 0
-                    and fused["fused_members"] + fused["narrow_members"]
-                    == n_services
-                    and (workers > 1 or fused["narrow_members"] == 0)
-                )
-                ok = ok and fused_ok
-                print(
-                    f"fused monitoring workers={workers} "
-                    f"engine={config_engine}: "
-                    + (
-                        f"{fused['fused_members']}/{n_services} members "
-                        f"fused ({fused['narrow_members']} narrow)"
-                        if fused_ok
-                        else f"SILENT FALLBACK ({fused})"
-                    )
-                )
+    for workers in worker_counts:
+        result = run_fleet_campaign(workers=workers, **shape)
+        matched = fingerprint(result) == serial
+        ok = ok and matched
+        print(
+            f"fleet equivalence workers={workers} vs serial "
+            f"{shape_label}: {'identical' if matched else 'MISMATCH'}"
+        )
     # K=0 bounded staleness must degenerate to the barrier exactly:
     # the serial-delayed arm and the free-running sharded consumer
     # both join the bit-exactness gate.
@@ -731,7 +543,7 @@ def check_fleet_equivalence(
         ok = ok and matched and lag_zero
         print(
             f"staleness K=0 workers={workers} ({mode}) vs serial "
-            f"object {shape_label}: "
+            f"{shape_label}: "
             f"{'identical' if matched else 'MISMATCH'}"
             + ("" if lag_zero else f" NONZERO LAG ({ledger})")
         )
@@ -811,12 +623,11 @@ def check_staleness_divergence(
 
 
 def replay_golden(path: str) -> bool:
-    """Replay the committed large-fleet golden in both engines.
+    """Replay the committed large-fleet golden.
 
     Loads the golden payload (see ``--write-golden``), re-runs the
-    campaign with ``engine="object"`` and ``engine="columnar"``, and
-    compares the full per-service stats payload.  Returns True when
-    both engines reproduce the golden exactly.
+    campaign serially, and compares the full per-service stats
+    payload.  Returns True when it reproduces the golden exactly.
     """
     from repro.fleet.campaign import run_fleet_campaign
     from repro.scenarios.corpus import fleet_payload
@@ -828,20 +639,15 @@ def replay_golden(path: str) -> bool:
         episodes_per_service=int(golden["episodes_per_service"]),
         seed=int(golden["seed"]),
     )
-    expected = golden["payload"]
-    ok = True
-    for engine in ("object", "columnar"):
-        started = time.perf_counter()
-        result = run_fleet_campaign(workers=1, engine=engine, **shape)
-        matched = fleet_payload(result) == expected
-        ok = ok and matched
-        print(
-            f"golden large fleet ({shape['n_services']} services, seed "
-            f"{shape['seed']}) engine={engine}: "
-            f"{'identical' if matched else 'MISMATCH'} "
-            f"({time.perf_counter() - started:.1f}s)"
-        )
-    return ok
+    started = time.perf_counter()
+    result = run_fleet_campaign(workers=1, **shape)
+    matched = fleet_payload(result) == golden["payload"]
+    print(
+        f"golden large fleet ({shape['n_services']} services, seed "
+        f"{shape['seed']}): {'identical' if matched else 'MISMATCH'} "
+        f"({time.perf_counter() - started:.1f}s)"
+    )
+    return matched
 
 
 def write_golden(
@@ -850,7 +656,7 @@ def write_golden(
     episodes_per_service: int = 1,
     seed: int = 71,
 ) -> None:
-    """Generate the large-fleet golden with the reference engine."""
+    """Generate the large-fleet golden."""
     from repro.fleet.campaign import run_fleet_campaign
     from repro.scenarios.corpus import fingerprint_fleet, fleet_payload
 
@@ -859,7 +665,6 @@ def write_golden(
         episodes_per_service=episodes_per_service,
         seed=seed,
         workers=1,
-        engine="object",
     )
     golden = {
         "schema": "repro-fleet-golden/1",
@@ -873,62 +678,6 @@ def write_golden(
         json.dump(golden, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {path} (fingerprint {golden['fingerprint'][:12]})")
-
-
-def gate_columnar_throughput(
-    min_ratio: float,
-    n_services: int = 64,
-    episodes: int = 1,
-    seed: int = 3,
-    repeats: int = 2,
-) -> bool:
-    """The columnar perf gate: no-regression against the object path.
-
-    Times a 64-service serial fleet in both engines and requires
-    ``columnar >= min_ratio * object`` ticks/sec.  The original spec
-    asked for a multiple here; on this class of hardware the columnar
-    engine's honest win is ~1.1-1.2x at fleet level (see
-    docs/performance.md), so the gate pins *non-regression* with noise
-    headroom rather than an aspirational multiplier.
-
-    The columnar run must also come from the fused path doing real
-    work: every member fused (no silent per-member fallback) and at
-    least one batched engine pass executed — at 64 stock members the
-    concatenated width is far past the batch crossover, so zero
-    batched ticks means the lockstep driver degraded.
-    """
-    object_point = _time_fleet(n_services, episodes, seed, 1, repeats)
-    columnar_point = _time_fleet(
-        n_services, episodes, seed, 1, repeats, engine="columnar"
-    )
-    ratio = (
-        columnar_point["ticks_per_sec"] / object_point["ticks_per_sec"]
-    )
-    ok = ratio >= min_ratio
-    print(
-        f"columnar perf gate ({n_services} services): object "
-        f"{object_point['ticks_per_sec']:.1f} ticks/s, columnar "
-        f"{columnar_point['ticks_per_sec']:.1f} ticks/s, ratio "
-        f"{ratio:.3f} (minimum {min_ratio}): "
-        f"{'ok' if ok else 'REGRESSION'}"
-    )
-    fused = columnar_point["transport"].get("fused")
-    fused_ok = (
-        fused is not None
-        and fused["fused_members"] == n_services
-        and fused["fallback_members"] == 0
-        and fused["batched_engine_ticks"] > 0
-    )
-    print(
-        f"fused gate ({n_services} services): "
-        + (
-            f"{fused['fused_members']} members fused, "
-            f"{fused['batched_engine_ticks']} batched engine ticks"
-            if fused_ok
-            else f"FUSED PATH DEGRADED ({fused})"
-        )
-    )
-    return ok and fused_ok
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -981,23 +730,14 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="PATH",
         help="with --check-equivalence: also replay this large-fleet "
-        "golden in both engines and fail on any stats drift",
+        "golden and fail on any stats drift",
     )
     parser.add_argument(
         "--write-golden",
         default=None,
         metavar="PATH",
         help="generate the large-fleet golden (256 services, seed 71) "
-        "with the reference engine and exit",
-    )
-    parser.add_argument(
-        "--gate-columnar",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help="time a 64-service fleet in both engines and fail if "
-        "columnar/object ticks-per-sec falls below RATIO (the "
-        "non-regression perf gate; see docs/performance.md)",
+        "and exit",
     )
     args = parser.parse_args(argv)
     repeats = (
@@ -1022,13 +762,6 @@ def main(argv: list[str] | None = None) -> int:
         write_golden(args.write_golden)
         return 0
 
-    if args.gate_columnar is not None:
-        return (
-            0
-            if gate_columnar_throughput(args.gate_columnar)
-            else 1
-        )
-
     if args.check_equivalence:
         worker_counts = (2,) if args.quick else (2, 4)
         if args.workers is not None:
@@ -1040,9 +773,6 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"--workers must be integers: {args.workers!r}")
             if not worker_counts or any(w < 2 for w in worker_counts):
                 parser.error(f"--workers must be >= 2: {args.workers!r}")
-        # At least 4 stock services so the serial columnar config's
-        # combined width crosses the batch crossover and full fusion
-        # can be asserted (not just absence of structural fallback).
         ok = check_fleet_equivalence(
             n_services=max(4, max(worker_counts)),
             worker_counts=worker_counts,

@@ -260,7 +260,6 @@ def _run_fleet(args: argparse.Namespace) -> str:
             record_path=args.record,
             profile_dir=profile_dir,
             events_path=args.events,
-            engine=args.engine,
             staleness_rounds=staleness,
         )
         report = format_fleet(result)
@@ -694,14 +693,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="record the flight-recorder event log (JSONL) here",
-    )
-    fleet.add_argument(
-        "--engine",
-        choices=("object", "columnar"),
-        default="object",
-        help="fleet execution engine; both produce bit-identical "
-        "results (columnar batches RNG draws, query costing, and "
-        "knowledge merges)",
     )
     fleet.add_argument(
         "--staleness",

@@ -112,9 +112,11 @@ class DatabaseEngine:
             {},
             {},
         )
-        # Per-template invariants for the hot tick loop (only for
-        # templates whose table exists in the schema; others keep the
-        # original lazy KeyError behaviour).
+        # Per-template invariants, only for templates whose table
+        # exists in the schema (others keep the original lazy KeyError
+        # behaviour).  The tick loop reads them flattened into
+        # ``_plans`` below; the pre-rewrite differential reference
+        # (tests/database/reference_engine.py) reads this mapping.
         self._tmpl_info: dict[str, _TemplateInfo] = {}
         for name, template in self.templates.items():
             table = self.tables.get(template.table)

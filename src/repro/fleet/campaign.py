@@ -166,7 +166,6 @@ class FleetResult:
     seed: int
     workers: int
     share_knowledge: bool
-    engine: str = "object"
     staleness_rounds: int | float | None = None
     slo_breaches_after_heal: int | None = None
     knowledge_entries: int = 0
@@ -340,7 +339,6 @@ def _fleet_worker(
     profile_path: str | None,
     dispatch_sem,
     done_sem,
-    fuse: bool = True,
     staleness_slots: int | None = None,
 ) -> None:
     """Persistent shard process owning a subset of replicas.
@@ -381,14 +379,6 @@ def _fleet_worker(
             for i in indices
         }
         order = sorted(members)
-        fused = None
-        if member_kwargs.get("columnar") and fuse:
-            # Each worker drives its shard's members in lockstep; the
-            # aggregate numbers stay bit-identical for any sharding
-            # because members only interact at round barriers.
-            from repro.fleet.fused_monitoring import FusedFleet
-
-            fused = FusedFleet([members[i] for i in order])
         dim = max(members[i].symptom_dim for i in order)
         conn.send(("ready", dim))
         message = conn.recv()
@@ -470,38 +460,14 @@ def _fleet_worker(
             vectors: list[np.ndarray] = []
             fix_codes: list[int] = []
             origin_codes: list[int] = []
-            fused_stats = None
-            if fused is not None:
-                # The shared log is frozen below the watermark and the
-                # dispatch semaphore fenced it, so materializing every
-                # member's foreign entries up front reads the same
-                # bytes the interleaved loop would.
-                fused_stats = fused.run_round(
-                    {i: queues[i][lo:hi] for i in order},
-                    {
-                        i: _entries_from_log(
-                            log, cursors[i], watermark, i, vocab
-                        )
-                        for i in order
-                    },
-                    {i: float(targets[i]) for i in order},
-                    max_episode_wait=max_episode_wait,
-                    settle_ticks=settle_ticks,
-                )
             for i in order:
-                stats = (
-                    fused_stats[i]
-                    if fused_stats is not None
-                    else _member_round(
-                        members[i],
-                        queues[i][lo:hi],
-                        _entries_from_log(
-                            log, cursors[i], watermark, i, vocab
-                        ),
-                        float(targets[i]),
-                        max_episode_wait,
-                        settle_ticks,
-                    )
+                stats = _member_round(
+                    members[i],
+                    queues[i][lo:hi],
+                    _entries_from_log(log, cursors[i], watermark, i, vocab),
+                    float(targets[i]),
+                    max_episode_wait,
+                    settle_ticks,
                 )
                 cursors[i] = watermark
                 downtime.append(stats.downtime_fraction)
@@ -545,9 +511,6 @@ def _fleet_worker(
                     },
                     "perf": {
                         "dispatch_wait_s": dispatch_wait_s,
-                        "fused": (
-                            fused.counters if fused is not None else None
-                        ),
                         "staleness": (
                             {
                                 "round_lag": staleness_lags,
@@ -560,7 +523,7 @@ def _fleet_worker(
                 },
             )
         )
-    except Exception as exc:  # pragma: no cover - worker crash relay
+    except Exception as exc:
         import traceback
 
         try:
@@ -578,9 +541,31 @@ def _fleet_worker(
 
 def _recv(conn):
     status, payload = conn.recv()
-    if status == "error":  # pragma: no cover - worker crash relay
+    if status == "error":
         raise RuntimeError(f"fleet worker failed:\n{payload}")
     return payload
+
+
+def _terminate(processes: list[multiprocessing.Process]) -> None:
+    """Stop every worker of a failed campaign without waiting on it.
+
+    A surviving worker may be blocked in ``conn.recv()`` on the attach
+    or finish handshake.  Closing the coordinator's pipe ends does not
+    wake it: forked workers hold copies of those ends, so no EOF ever
+    arrives.
+    """
+    for process in processes:
+        if process.is_alive():
+            process.terminate()
+
+
+def _join(processes: list[multiprocessing.Process]) -> None:
+    """Reap every worker; terminate one that outstays the timeout."""
+    for process in processes:
+        process.join(timeout=30)
+        if process.is_alive():  # pragma: no cover - hung worker
+            process.terminate()
+            process.join()
 
 
 def _barrier_merge(
@@ -709,8 +694,6 @@ def run_fleet_campaign(
     events_path: str | None = None,
     profile_dir: str | None = None,
     barrier_timeout: float = 600.0,
-    engine: str = "object",
-    fuse: bool = True,
     staleness_rounds: int | float | None = None,
     track_slo: bool = False,
 ) -> FleetResult:
@@ -756,20 +739,6 @@ def run_fleet_campaign(
             coordinator directly).
         barrier_timeout: seconds a round barrier may wait on shared
             memory before the campaign is declared hung.
-        engine: ``"object"`` steps each member's service through the
-            reference per-object path; ``"columnar"`` installs the
-            columnar fleet engine (:mod:`repro.fleet.columnar`):
-            block-buffered tier RNG streams, the vectorized database
-            tick dispatcher, and stacked knowledge-barrier merges.
-            Results are bit-identical between the two — pinned by the
-            large-fleet golden, the corpus replay, and the
-            Hypothesis differential suite.
-        fuse: with the columnar engine, drive homogeneous members
-            through the fused monitoring plane and lockstep rounds
-            (:mod:`repro.fleet.fused_monitoring`).  ``False`` keeps the
-            per-member pump with per-member accelerators — the ablation
-            arm the perf suite times to isolate the fusion win.
-            Ignored by the object engine.
         staleness_rounds: opt-in bounded-staleness knowledge exchange.
             ``None`` (the default) keeps the classic barrier executor.
             An integer ``K`` lets every replica absorb the shared
@@ -794,10 +763,6 @@ def run_fleet_campaign(
             in-process runner (``workers=1``): the timelines live with
             the members and never cross the worker boundary.
     """
-    if engine not in ("object", "columnar"):
-        raise ValueError(
-            f'engine must be "object" or "columnar", got {engine!r}'
-        )
     if n_services < 1:
         raise ValueError(f"n_services must be >= 1, got {n_services}")
     if episodes_per_service < 0:
@@ -869,7 +834,6 @@ def run_fleet_campaign(
         config=config,
         threshold=threshold,
         include_invasive=include_invasive,
-        columnar=engine == "columnar",
     )
     if track_slo:
         member_kwargs["track_slo"] = True
@@ -902,7 +866,6 @@ def run_fleet_campaign(
     barrier_wait_s: list[list[float]] = []
     dispatch_wait_s: list[float] = []
     merge_s = 0.0
-    fused_counters: dict | None = None
     member_event_streams: list[list[dict]] = []
 
     staleness_ledger: dict | None = None
@@ -926,7 +889,6 @@ def run_fleet_campaign(
             profile_dir=profile_dir,
             hub=hub,
             round_lags=round_lags,
-            fuse=fuse,
         )
         if staleness is None:
             campaigns, absorbed_total, events_by_member, shard_perf = (
@@ -941,7 +903,6 @@ def run_fleet_campaign(
         barrier_wait_s = shard_perf["barrier_wait_s"]
         dispatch_wait_s = shard_perf["dispatch_wait_s"]
         merge_s = shard_perf["merge_s"]
-        fused_counters = shard_perf["fused"]
         staleness_ledger = shard_perf.get("staleness")
         if hub is not None:
             member_event_streams = [
@@ -970,18 +931,6 @@ def run_fleet_campaign(
                     "db": members[0].service.db.capacity,
                 },
             )
-        columnar_vocab = (
-            Vocab(_transport_vocab()) if engine == "columnar" else None
-        )
-        fused = None
-        if engine == "columnar" and recorder is None and fuse:
-            # Fused monitoring + lockstep rounds: homogeneous members
-            # stack their monitoring state and share batched engine
-            # passes.  The recorder needs per-member tick ordering in
-            # its trace lines, so recorded runs keep the classic pump.
-            from repro.fleet.fused_monitoring import FusedFleet
-
-            fused = FusedFleet(members)
         cursors = [0] * n_services
         watermark_history: list[int] = []
         serial_lag: list[int] = []
@@ -1008,56 +957,29 @@ def run_fleet_campaign(
                     watermark_history[behind] if behind >= 0 else 0
                 )
                 serial_lag.append(min(round_index, staleness))
-            per_member = {}
-            for i in range(n_services):
+            round_stats: list[FleetRoundStats] = []
+            for i, member in enumerate(members):
                 external, cursors[i] = knowledge.updates_window(
                     i, cursors[i], absorb_watermark
                 )
-                per_member[i] = (external, lb_targets[i])
-
-            stats_by_index: dict[int, FleetRoundStats] = {}
-            if fused is not None:
-                stats_by_index = fused.run_round(
-                    {i: queues[i][lo:hi] for i in range(n_services)},
-                    {i: per_member[i][0] for i in range(n_services)},
-                    {i: per_member[i][1] for i in range(n_services)},
-                    max_episode_wait=max_episode_wait,
-                    settle_ticks=settle_ticks,
-                )
-            else:
-                for i, member in enumerate(members):
-                    external, lb_target = per_member[i]
-                    stats_by_index[i] = _member_round(
+                round_stats.append(
+                    _member_round(
                         member,
                         queues[i][lo:hi],
                         external,
-                        lb_target,
+                        lb_targets[i],
                         max_episode_wait,
                         settle_ticks,
                     )
+                )
 
             # Barrier: merge contributions in replica order, rebalance.
             merge_started = time.perf_counter()
-            downtime = [0.0] * n_services
-            absorbed_round = 0
-            for i in range(n_services):
-                stats = stats_by_index[i]
-                downtime[i] = stats.downtime_fraction
-                absorbed_round += stats.absorbed
-            if columnar_vocab is not None:
-                # Columnar barrier: one stacked ragged append in
-                # replica order (entry-identical to the scalar loop).
-                from repro.fleet.columnar import merge_round_columnar
-
-                merge_round_columnar(
-                    knowledge, stats_by_index, n_services, columnar_vocab
-                )
-            else:
-                for i in range(n_services):
-                    for symptoms, fix_kind, origin in stats_by_index[
-                        i
-                    ].contributions:
-                        knowledge.contribute(i, symptoms, fix_kind, origin)
+            downtime = [stats.downtime_fraction for stats in round_stats]
+            absorbed_round = sum(stats.absorbed for stats in round_stats)
+            for i, stats in enumerate(round_stats):
+                for symptoms, fix_kind, origin in stats.contributions:
+                    knowledge.contribute(i, symptoms, fix_kind, origin)
             lb_targets = balancer.rebalance(downtime)
             merge_s += time.perf_counter() - merge_started
             absorbed_total += absorbed_round
@@ -1073,8 +995,6 @@ def run_fleet_campaign(
                     lag=published,
                     downtime=downtime,
                 )
-        if fused is not None:
-            fused_counters = fused.counters
         campaigns = [member.result for member in members]
         if track_slo:
             # The corpus oracle's post-heal verdict, fleet-wide: clamp
@@ -1163,7 +1083,6 @@ def run_fleet_campaign(
 
     transport = {
         "mode": "sharded" if use_workers else "serial",
-        "engine": engine,
         "workers": min(workers, n_services) if use_workers else 1,
         "rounds": n_rounds,
         "knowledge": {
@@ -1181,10 +1100,6 @@ def run_fleet_campaign(
         "barrier_wait_s": barrier_wait_s,
         "dispatch_wait_s": dispatch_wait_s,
         "merge_s": merge_s,
-        # Fused-monitoring engagement counters (None for the object
-        # engine / recorded runs).  The CI equivalence and perf gates
-        # read these to reject silent per-member fallback.
-        "fused": fused_counters,
         # Bounded-staleness ledger (None when the classic barrier
         # executor ran): budget, observed per-round lag, and — for the
         # sharded executor — ring depth and consume-wait timing.
@@ -1199,7 +1114,6 @@ def run_fleet_campaign(
         seed=seed,
         workers=workers,
         share_knowledge=share_knowledge,
-        engine=engine,
         staleness_rounds=staleness,
         slo_breaches_after_heal=slo_breaches,
         knowledge_entries=knowledge.n_entries,
@@ -1232,7 +1146,6 @@ def _run_sharded(
     profile_dir: str | None,
     hub=None,
     round_lags: list[int] | None = None,
-    fuse: bool = True,
 ) -> tuple[list[CampaignResult], int, dict[int, list[dict]], dict]:
     """The coordinator side of the shared-memory parallel executor.
 
@@ -1313,7 +1226,6 @@ def _run_sharded(
                     profile_path,
                     dispatch_sem,
                     done_sem,
-                    fuse,
                 ),
                 daemon=True,
             )
@@ -1449,7 +1361,6 @@ def _run_sharded(
         dispatch_wait_s: list[float] = []
         for conn in connections:
             conn.send(("finish",))
-        fused_counters: dict | None = None
         for conn in connections:
             payload = _recv(conn)
             per_service.update(payload["results"])
@@ -1457,12 +1368,6 @@ def _run_sharded(
             dispatch_wait_s.append(
                 float(payload["perf"]["dispatch_wait_s"])
             )
-            worker_fused = payload["perf"].get("fused")
-            if worker_fused is not None:
-                if fused_counters is None:
-                    fused_counters = dict.fromkeys(worker_fused, 0)
-                for key, value in worker_fused.items():
-                    fused_counters[key] += value
         return (
             [per_service[i] for i in range(n_services)],
             absorbed_total,
@@ -1471,18 +1376,17 @@ def _run_sharded(
                 "barrier_wait_s": barrier_wait_s,
                 "dispatch_wait_s": dispatch_wait_s,
                 "merge_s": merge_s,
-                "fused": fused_counters,
             },
         )
+    except BaseException:
+        _terminate(processes)
+        raise
     finally:
         if control is not None:
             control.abort()
         for conn in connections:
             conn.close()
-        for process in processes:
-            process.join(timeout=30)
-            if process.is_alive():  # pragma: no cover - hung worker
-                process.terminate()
+        _join(processes)
         for segment in (control, log, *outs):
             if segment is not None:
                 segment.close()
@@ -1507,7 +1411,6 @@ def _run_sharded_staleness(
     profile_dir: str | None,
     hub=None,
     round_lags: list[int] | None = None,
-    fuse: bool = True,
     staleness_rounds: int | float = 0,
 ) -> tuple[list[CampaignResult], int, dict[int, list[dict]], dict]:
     """The bounded-staleness coordinator: a free-running consumer.
@@ -1598,7 +1501,6 @@ def _run_sharded_staleness(
                     profile_path,
                     dispatch_sem,
                     done_sem,
-                    fuse,
                     ring_slots,
                 ),
                 daemon=True,
@@ -1773,7 +1675,6 @@ def _run_sharded_staleness(
         worker_marks: dict[int, list[int]] = {}
         for conn in connections:
             conn.send(("finish",))
-        fused_counters: dict | None = None
         for worker_id, conn in enumerate(connections):
             payload = _recv(conn)
             per_service.update(payload["results"])
@@ -1788,12 +1689,6 @@ def _run_sharded_staleness(
             worker_marks[worker_id] = [
                 int(v) for v in ledger.get("watermark", [])
             ]
-            worker_fused = payload["perf"].get("fused")
-            if worker_fused is not None:
-                if fused_counters is None:
-                    fused_counters = dict.fromkeys(worker_fused, 0)
-                for key, value in worker_fused.items():
-                    fused_counters[key] += value
         all_lags = [lag for lags in worker_lags.values() for lag in lags]
         return (
             [per_service[i] for i in range(n_services)],
@@ -1803,7 +1698,6 @@ def _run_sharded_staleness(
                 "barrier_wait_s": [],
                 "dispatch_wait_s": dispatch_wait_s,
                 "merge_s": merge_s,
-                "fused": fused_counters,
                 "staleness": {
                     "mode": "sharded-async",
                     "ring_slots": ring_slots,
@@ -1817,15 +1711,15 @@ def _run_sharded_staleness(
                 },
             },
         )
+    except BaseException:
+        _terminate(processes)
+        raise
     finally:
         for control in controls:
             control.abort()
         for conn in connections:
             conn.close()
-        for process in processes:
-            process.join(timeout=30)
-            if process.is_alive():  # pragma: no cover - hung worker
-                process.terminate()
+        _join(processes)
         for segment in (*controls, log, *outs):
             if segment is not None:
                 segment.close()

@@ -71,12 +71,6 @@ class FleetMember:
             cleanly to worker processes — each member builds its own
             hub, and the event bytes are identical for any worker
             count.
-        columnar: install the columnar fleet-engine accelerations
-            (:mod:`repro.fleet.columnar`) on this member's service —
-            bit-exact against the plain object path.  A bool for the
-            same reason as ``telemetry``: it ships cleanly to worker
-            processes, which install the accelerations on the members
-            they build.
         track_slo: keep this member's per-tick SLO-violation timeline
             (a plain bool list, observation only — the hook never
             perturbs the RNG streams or the campaign statistics).
@@ -97,7 +91,6 @@ class FleetMember:
         scenario=None,
         recorder=None,
         telemetry: bool = False,
-        columnar: bool = False,
         track_slo: bool = False,
     ) -> None:
         self.index = index
@@ -149,11 +142,6 @@ class FleetMember:
             telemetry=telemetry_obj,
         )
         self.telemetry = telemetry_obj
-        self.columnar = columnar
-        if columnar:
-            from repro.database.columnar import install_columnar_engine
-
-            install_columnar_engine(self.service.db.engine)
         self.slo_flags: list[bool] | None = None
         if track_slo:
             self.slo_flags = []
@@ -250,9 +238,8 @@ class FleetMember:
     ):
         """Generator form of :meth:`run_round` (one ``yield`` per tick).
 
-        The fused fleet driver advances many members' round generators
-        in lockstep, satisfying each ``yield`` from one batched
-        cross-member tick instead of :meth:`SelfHealingLoop.step_once`.
+        :meth:`run_round` pumps it through :func:`drive_ticks`; see
+        there for why the healing control flow is generator-shaped.
         """
         if not self._warmed:
             yield from self.loop.warmup_gen()

@@ -43,12 +43,13 @@ def drive_ticks(loop: "SelfHealingLoop", gen):
     The healing control flow (``heal``, ``run``, verification, the
     campaign's episode/settle machinery) is written as generators:
     every ``yield`` means "advance the world one tick and hand me the
-    ``(snapshot, event)`` pair".  This pump satisfies each request with
-    :meth:`SelfHealingLoop.step_once` — the single-service reference
-    path.  The fused fleet driver satisfies the *same* generators with
-    batched cross-member ticks instead, which is what keeps the two
-    execution modes bit-identical: there is exactly one copy of the
-    control flow.
+    ``(snapshot, event)`` pair".  This pump, the only one, satisfies
+    each request with :meth:`SelfHealingLoop.step_once`.  The generator
+    form stays because the benchmark's ``healing.verify`` span
+    (``perfbench/spans.py``) wraps :meth:`SelfHealingLoop._verify_gen`
+    as a generator to read each verification's outcome; folding the
+    control flow back into plain methods means moving that boundary
+    first.
     """
     try:
         gen.send(None)

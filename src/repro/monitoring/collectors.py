@@ -151,40 +151,8 @@ class MetricCollector:
 
     def collect(self, snapshot: TickSnapshot) -> np.ndarray:
         """One registry-ordered row of floats for this tick."""
-        row = np.zeros(len(self.names))
-        self.collect_into(snapshot, row)
-        return row
-
-    def collect_batch(
-        self, snapshots: list[TickSnapshot], out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Stack many snapshots' rows into one ``(len(snapshots), n)``
-        array.
-
-        The fused monitoring plane's entry point: each row is written
-        by the same :meth:`collect_into` the scalar path uses, so row
-        ``k`` is bit-identical to ``collect(snapshots[k])``.  ``out``
-        reuses a caller-owned array (zero-filled here) instead of
-        allocating.
-        """
-        if out is None:
-            out = np.zeros((len(snapshots), len(self.names)))
-        else:
-            out[:] = 0.0
-        for k, snapshot in enumerate(snapshots):
-            self.collect_into(snapshot, out[k])
-        return out
-
-    def collect_into(
-        self, snapshot: TickSnapshot, row: np.ndarray
-    ) -> None:
-        """Write one tick's registry-ordered floats into ``row``.
-
-        ``row`` must be zero-filled: absent beans and unknown callers
-        are represented by the untouched zeros, exactly as in
-        :meth:`collect`.
-        """
         buffer_hit = snapshot.buffer_hit
+        row = np.zeros(len(self.names))
         row[self._scalar_cols] = (
             float(snapshot.total_requests),
             snapshot.latency_ms,
@@ -234,3 +202,4 @@ class MetricCollector:
                     col = outcalls_col.get(caller)
                     if col is not None and caller in callees:
                         row[col] = total
+        return row

@@ -417,7 +417,7 @@ def fingerprint_fleet(result) -> str:
     return _digest(fleet_payload(result))
 
 
-def _run_fleet(spec: GeneratedScenario, engine: str = "object"):
+def _run_fleet(spec: GeneratedScenario):
     from repro.fleet.campaign import run_fleet_campaign
 
     fleet = spec.fleet
@@ -429,7 +429,6 @@ def _run_fleet(spec: GeneratedScenario, engine: str = "object"):
         p_correlated=float(fleet.get("p_correlated", 0.4)),
         p_cascade=float(fleet.get("p_cascade", 0.15)),
         scenario=spec.to_pack(),
-        engine=engine,
     )
 
 

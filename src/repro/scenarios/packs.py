@@ -508,10 +508,9 @@ _SCENARIOS: dict[str, ScenarioPack] = {
             fleet_kinds=DB_FAULT_KINDS,
             expected_behavior=(
                 "update_statistics and repartition_memory dominate "
-                "(a wide plan surface multiplies optimizer drift); a "
-                "single service's active query width crosses the "
-                "columnar batch threshold, so the vectorized engine "
-                "path engages even without a fleet"
+                "(a wide plan surface multiplies optimizer drift); "
+                "one service prices roughly 90-140 query classes per "
+                "tick instead of the stock 14"
             ),
         ),
     )

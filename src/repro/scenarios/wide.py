@@ -1,10 +1,7 @@
 """The wide-mix query universe: 128+ templates over the RUBiS schema.
 
-The stock RUBiS blueprints issue 14 query classes, so a single
-service's active width sits far below the columnar engine's batch
-crossover (``MIN_BATCH``) and only fleet-level concatenation ever
-batches.  The wide mix models the other common shape of a production
-tier — one application fronting a *long tail* of query classes
+The stock RUBiS blueprints issue 14 query classes.  The wide mix
+models the other common shape of a production tier — one application fronting a *long tail* of query classes
 (reporting endpoints, per-partner variants, generated ORM accessors) —
 by deriving :data:`WIDE_TEMPLATE_COUNT` synthetic templates over the
 same RUBiS tables and spreading them across the stock interaction
@@ -12,9 +9,9 @@ blueprints.  Every derived value is a pure function of the template
 index: two processes building the universe always agree byte for byte,
 which the determinism and replay tests pin.
 
-With the wide universe active, one member's per-tick width alone
-crosses the batch threshold, so the columnar engine batches even for
-``n_services=1`` and the fused fleet path batches at every size.
+With the wide universe active, one service prices roughly 90-140
+query classes per tick instead of 14, so the database tick and the
+optimizer's plan surface carry a much larger share of the work.
 """
 
 from __future__ import annotations
@@ -31,8 +28,8 @@ __all__ = [
     "wide_tiers",
 ]
 
-# Comfortably above the columnar batch crossover (MIN_BATCH = 48) even
-# after per-tick rounding deactivates a slice of the tail.
+# Tail size.  Per-tick rounding deactivates a slice of it, so a
+# service's active width stays below 128 + 14 on most ticks.
 WIDE_TEMPLATE_COUNT = 128
 
 # Predicate columns available per table, matching the index definitions
@@ -104,10 +101,9 @@ def wide_query_templates(n: int = WIDE_TEMPLATE_COUNT) -> dict[str, QueryTemplat
 def wide_entry_points() -> dict[str, RequestBlueprint]:
     """Stock RUBiS blueprints widened with the synthetic tail.
 
-    The call graph (edges, beans) is untouched — monitoring registries
-    therefore match the stock mix exactly, so wide-mix fleet members
-    remain homogeneous with respect to the fused monitoring plane.
-    Only the ``queries`` maps widen: the tail templates are dealt
+    The call graph (edges, beans) is untouched, so monitoring
+    registries match the stock mix exactly.  Only the ``queries`` maps
+    widen: the tail templates are dealt
     round-robin across interaction types with per-request rates high
     enough that typical tick volumes keep most of the tail active.
     """

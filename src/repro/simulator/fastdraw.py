@@ -19,7 +19,7 @@ tiers on a :class:`BufferedNormal`, on every execution path.  The
 wrapper guards the contract at runtime: a draw with unexpected
 parameters raises instead of silently desynchronizing the stream.
 
-:func:`verify_buffered_stream` is the self-check the equivalence tests
+:func:`verify_buffered_stream` is the self-check the buffered-jitter tests
 run: it replays twin generators — one scalar, one buffered — and
 asserts bitwise-identical draws and end states on this NumPy build.
 """

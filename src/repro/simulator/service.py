@@ -26,7 +26,7 @@ from repro.simulator.tiers.db import DatabaseTier
 from repro.simulator.tiers.web import WebTier
 from repro.simulator.workload import Workload, WorkloadProfile, bidding_profile
 
-__all__ = ["MultitierService", "PendingTick", "TickSnapshot"]
+__all__ = ["MultitierService", "TickSnapshot"]
 
 # Client-side timeout: hung requests are charged this much latency.
 TIMEOUT_MS = 8000.0
@@ -103,28 +103,6 @@ class TickSnapshot:
     recent_config_change: float = 0.0
     # SLO
     slo_violated: bool = False
-
-
-@dataclass(slots=True)
-class PendingTick:
-    """A tick split at the database-pricing boundary.
-
-    ``begin_step`` advances the workload and the web/app tiers and
-    stops just before the database engine prices the tick's query
-    stream; ``finish_step`` resumes from there.  When the service is
-    inside a downtime window the tick completes immediately and
-    ``snapshot`` is already set.  The split exists for the fused fleet
-    driver, which batches many members' engine pricing into one
-    vectorized pass between the two halves.
-    """
-
-    now: int
-    request_counts: dict[str, int]
-    total: int
-    snapshot: TickSnapshot | None = None
-    web: object = None
-    app: object = None
-    query_counts: dict[str, float] | None = None
 
 
 class MultitierService:
@@ -222,26 +200,10 @@ class MultitierService:
 
     def step(self) -> TickSnapshot:
         """Advance one tick and return its observable snapshot."""
-        pending = self.begin_step()
-        if pending.snapshot is not None:
-            return pending.snapshot
-        return self.finish_step(pending)
-
-    def begin_step(self) -> PendingTick:
-        """First half of a tick: workload, downtime, web and app tiers.
-
-        Stops at the database-pricing boundary; pass the result to
-        :meth:`finish_step`.  Downtime ticks complete here (their
-        snapshot carries no tier state), signalled by
-        ``pending.snapshot`` being set.
-        """
         now = self.tick
         self.tick += 1
         request_counts = self.workload.requests_at(now)
         total = sum(request_counts.values())
-        pending = PendingTick(
-            now=now, request_counts=request_counts, total=total
-        )
 
         if self.downtime_remaining > 0:
             self.downtime_remaining -= 1
@@ -260,8 +222,7 @@ class MultitierService:
             self.last_snapshot = snapshot
             for hook in self.tick_hooks:
                 hook(snapshot)
-            pending.snapshot = snapshot
-            return pending
+            return snapshot
 
         for tier in (self.web, self.app, self.db):
             tier.tick_rolling()
@@ -269,29 +230,8 @@ class MultitierService:
         web = self.web.process(float(total))
         served_rate = max(0.0, float(total) - web.shed_requests)
         app = self.app.process(request_counts, served_rate)
-        pending.web = web
-        pending.app = app
-        pending.query_counts = app.container.query_counts
-        return pending
-
-    def finish_step(self, pending: PendingTick, engine_result=None):
-        """Second half of a tick: database, network, snapshot assembly.
-
-        ``engine_result`` injects a pre-priced database tick (the fused
-        driver's batched pass); ``None`` prices it here, which is the
-        reference single-service path.
-        """
-        now = pending.now
-        request_counts = pending.request_counts
-        total = pending.total
-        web = pending.web
-        app = pending.app
-        if engine_result is None:
-            engine_result = self.db.engine.process_tick(
-                pending.query_counts, now
-            )
-        db = self.db.attribute(
-            engine_result, pending.query_counts, request_counts
+        db = self.db.process(
+            app.container.query_counts, request_counts, now
         )
 
         network_ms = (

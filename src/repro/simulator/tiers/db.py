@@ -66,13 +66,7 @@ class DatabaseTier(QueueingTier):
         query_counts: dict[str, int],
         request_counts: dict[str, int],
     ) -> DatabaseTierResult:
-        """Turn priced query classes into per-request-type database time.
-
-        Split out of :meth:`process` so the fused fleet driver can
-        price many members' query streams in one batched engine pass
-        and feed each result back through the identical attribution
-        and queueing code.
-        """
+        """Turn priced query classes into per-request-type database time."""
         db_ms_per_type: dict[str, float] = {}
         pc_get = engine_result.per_class_ms.get
         counts_get = request_counts.get

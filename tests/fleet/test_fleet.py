@@ -1,6 +1,8 @@
 """Tests for the fleet layer: knowledge, balancing, aggregation."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +22,11 @@ from repro.fleet import (
     weighted_mean,
 )
 from repro.healing.report import EpisodeReport
+from repro.scenarios.corpus import fingerprint_fleet, fleet_payload
+
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "golden_large_fleet.json"
+)
 
 
 def _report(
@@ -319,6 +326,10 @@ class TestFleetCampaign:
         assert isolated.knowledge_entries == 0
         assert isolated.knowledge_absorbed == 0
 
+    def test_zero_services_rejected(self):
+        with pytest.raises(ValueError, match="n_services must be >= 1"):
+            run_fleet_campaign(n_services=0)
+
     def test_zero_episode_fleet_is_nan_safe(self):
         result = run_fleet_campaign(
             n_services=2, episodes_per_service=0, seed=1
@@ -347,3 +358,25 @@ class TestFleetCampaign:
         out = capsys.readouterr().out
         assert "Fleet campaign: 1 services" in out
         assert "knowledge:" in out
+
+
+@pytest.mark.skipif(
+    not os.path.exists(GOLDEN_PATH), reason="large-fleet golden missing"
+)
+class TestLargeFleetGolden:
+    def test_replays_bit_exactly(self):
+        """The committed 256-service campaign replays byte-identically.
+
+        ``python -m benchmarks.perf --write-golden PATH`` regenerates
+        the golden; CI replays it with ``--check-equivalence --golden``.
+        """
+        with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
+            golden = json.load(handle)
+        result = run_fleet_campaign(
+            n_services=golden["n_services"],
+            episodes_per_service=golden["episodes_per_service"],
+            seed=golden["seed"],
+            workers=1,
+        )
+        assert fingerprint_fleet(result) == golden["fingerprint"]
+        assert fleet_payload(result) == golden["payload"]

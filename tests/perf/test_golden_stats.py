@@ -107,27 +107,20 @@ class TestFleetGoldens:
         )
         assert_fleet_matches_golden(result, case["stats"])
 
-    @pytest.mark.parametrize("engine", ["object", "columnar"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_worker_count_reproduces_golden_stats(
-        self, goldens, workers, engine
-    ):
-        """Sharding and the columnar engine are bit-identical to the
-        serial object reference for any worker count.
+    def test_worker_count_reproduces_golden_stats(self, goldens, workers):
+        """Sharding is bit-identical to the serial runner.
 
         The ``fleet_multi`` golden was captured with the in-process
-        object-engine runner; 2 workers shard its 4 replicas
-        two-per-process, 4 workers one-per-process, and
-        ``engine="columnar"`` swaps the execution engine under every
-        sharding — every per-report field and the knowledge counters
-        must reproduce exactly in all six combinations."""
+        runner; 2 workers shard its 4 replicas two-per-process and 4
+        workers one-per-process — every per-report field and the
+        knowledge counters must reproduce exactly."""
         case = goldens["fleet_multi"]
         result = run_fleet_campaign(
             n_services=case["n_services"],
             episodes_per_service=case["episodes_per_service"],
             seed=case["seed"],
             workers=workers,
-            engine=engine,
         )
         assert_fleet_matches_golden(result, case["stats"])
 

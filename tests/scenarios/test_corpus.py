@@ -348,28 +348,10 @@ class TestCommittedCorpus:
         bad = [f"{c.entry.name}: {c.details}" for c in checks if not c.ok]
         assert not bad, "corpus drift:\n" + "\n".join(bad)
 
-    def test_one_fleet_entry_replays_bit_exactly(self):
-        from repro.scenarios.corpus import _run_fleet, fingerprint_fleet
-
-        entries = [
-            e
-            for e in load_corpus(str(CORPUS_DIR))
-            if e.fleet_fingerprint is not None
-        ]
-        if not entries:
-            pytest.skip("corpus has no multi-service entries")
-        entry = entries[0]
-        assert (
-            fingerprint_fleet(_run_fleet(entry.spec))
-            == entry.fleet_fingerprint
-        )
-
-    def test_fleet_entries_replay_bit_exactly_under_columnar(self):
-        # The committed fleet fingerprints were pinned with the object
-        # engine; the columnar engine must reproduce every one of them
-        # byte-identically (the corpus doubles as a hard-case
-        # differential set — each entry is a minimized reproducer of
-        # some healing pathology).
+    def test_fleet_entries_replay_bit_exactly(self):
+        # Every committed fleet fingerprint reproduces byte-identically
+        # (each entry is a minimized reproducer of some healing
+        # pathology, so the corpus doubles as a hard-case fleet set).
         from repro.scenarios.corpus import _run_fleet, fingerprint_fleet
 
         entries = [
@@ -382,7 +364,7 @@ class TestCommittedCorpus:
         drifted = [
             entry.name
             for entry in entries
-            if fingerprint_fleet(_run_fleet(entry.spec, engine="columnar"))
+            if fingerprint_fleet(_run_fleet(entry.spec))
             != entry.fleet_fingerprint
         ]
-        assert not drifted, f"columnar fleet drift: {drifted}"
+        assert not drifted, f"fleet drift: {drifted}"

@@ -1,10 +1,14 @@
 """Every service serves its web and database jitter from block buffers."""
 
 import numpy as np
+import pytest
 
-from repro.fleet.member import FleetMember
 from repro.simulator.config import ServiceConfig
-from repro.simulator.fastdraw import JITTER, BufferedNormal
+from repro.simulator.fastdraw import (
+    JITTER,
+    BufferedNormal,
+    verify_buffered_stream,
+)
 from repro.simulator.rng import derive_rng
 from repro.simulator.service import MultitierService
 
@@ -28,9 +32,20 @@ def test_buffered_jitter_is_the_scalar_stream():
     assert served == expected
 
 
-def test_columnar_member_does_not_wrap_twice():
-    for columnar in (False, True):
-        member = FleetMember(0, seed=9, columnar=columnar)
-        for tier in (member.service.web, member.service.db):
-            assert isinstance(tier._rng, BufferedNormal)
-            assert type(tier._rng._rng) is np.random.Generator
+class TestBufferedNormal:
+    @pytest.mark.parametrize("block", [1, 3, 64, 256])
+    def test_block_fills_match_scalar_draws(self, block):
+        # Draw counts straddling block boundaries, including a partial
+        # final block (the prefetch-tail check inside the verifier).
+        verify_buffered_stream(seed=11, draws=2 * block + 1, block=block)
+        verify_buffered_stream(seed=0, draws=500, block=block)
+
+    def test_parameter_mismatch_raises(self):
+        buffered = BufferedNormal(np.random.default_rng(0), 1.0, 0.04)
+        buffered.normal(1.0, 0.04)
+        with pytest.raises(RuntimeError, match="desynchronize"):
+            buffered.normal(0.0, 1.0)
+
+    def test_invalid_block_rejected(self):
+        with pytest.raises(ValueError):
+            BufferedNormal(np.random.default_rng(0), 1.0, 0.04, block=0)
