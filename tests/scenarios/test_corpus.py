@@ -348,7 +348,23 @@ class TestCommittedCorpus:
         bad = [f"{c.entry.name}: {c.details}" for c in checks if not c.ok]
         assert not bad, "corpus drift:\n" + "\n".join(bad)
 
-    def test_fleet_entries_replay_bit_exactly(self):
+    def test_one_fleet_entry_replays_bit_exactly(self):
+        from repro.scenarios.corpus import _run_fleet, fingerprint_fleet
+
+        entries = [
+            e
+            for e in load_corpus(str(CORPUS_DIR))
+            if e.fleet_fingerprint is not None
+        ]
+        if not entries:
+            pytest.skip("corpus has no multi-service entries")
+        entry = entries[0]
+        assert (
+            fingerprint_fleet(_run_fleet(entry.spec))
+            == entry.fleet_fingerprint
+        )
+
+    def test_every_fleet_entry_replays_bit_exactly(self):
         # Every committed fleet fingerprint reproduces byte-identically
         # (each entry is a minimized reproducer of some healing
         # pathology, so the corpus doubles as a hard-case fleet set).
