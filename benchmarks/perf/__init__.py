@@ -32,15 +32,14 @@ through the free-running sharded executor (``parallel_speedup``,
 observed lag ledger) and grading its healing cost on the
 deterministic serial-delayed arm (detection latency, repair success,
 post-heal SLO re-breaches, knowledge absorbed — plus explicit deltas
-against the K=0 row, which is bit-identical to the barrier).  Fleet
-sweep points also record ``effective_workers = min(workers,
-cpu_count)`` and ``scaling_efficiency_effective``: the historical
+against the K=0 row, the round barrier).  Fleet sweep points also
+record ``effective_workers = min(workers, cpu_count)`` and
+``scaling_efficiency_effective``: the historical
 ``scaling_efficiency`` divides by *requested* workers, which on a box
 with fewer cores necessarily floors near ``1/workers`` — the
 oversubscribed flag marks those points.  ``--check-equivalence`` now
-also pins the staleness executor: K=0 must be bit-identical to the
-barrier (serial and sharded), and K>0 must complete within its lag
-budget without regressing missed detections.
+also pins bounded staleness: K>0 must complete within its lag budget
+without regressing missed detections.
 
 Schema ``repro-perf/7`` removes what schemas 4 and 5 added for the
 columnar fleet engine and the fused monitoring plane, both deleted
@@ -48,6 +47,14 @@ columnar fleet engine and the fused monitoring plane, both deleted
 ``columnar_speedup`` / ``fused_speedup`` / ``fused_counters`` fields of
 every fleet sweep point.  ``--check-equivalence`` and ``--golden``
 lost their engine axis with them.
+
+Schema ``repro-perf/8`` follows the fleet down to one sharded
+executor, whose default ``staleness_rounds=0`` is the round barrier.
+A transport block's ``barrier_wait_s`` lists, per round, the
+coordinator's blocking waits on that round; staleness points report
+its sum under the same name.  ``--check-equivalence`` checks the
+zero-lag ledger on the sharded runs themselves instead of re-running
+them at an explicit K=0.
 
 The workloads are fixed-seed campaigns (the same shapes the
 golden-stats equivalence tests pin down), so successive runs measure
@@ -133,7 +140,7 @@ def _time_fleet(
     seed: int,
     workers: int,
     repeats: int,
-    staleness_rounds: int | float | None = None,
+    staleness_rounds: int | float = 0,
 ) -> dict:
     """Best-of-``repeats`` ticks/sec for one fleet configuration."""
     from repro.fleet.campaign import run_fleet_campaign
@@ -298,17 +305,17 @@ def _bench_staleness(quick: bool, repeats: int) -> dict:
     Two arms per budget:
 
     * a timed *sharded* run (``workers = min(n_services, 4)``) through
-      the free-running staleness executor, recording ticks/sec,
-      ``parallel_speedup`` against the serial barrier reference, and
-      the observed lag ledger (opportunistic freshness: on a loaded or
-      small box the real lag sits well under K);
+      the sharded executor, recording ticks/sec, ``parallel_speedup``
+      against the serial K=0 reference, the observed lag ledger
+      (opportunistic freshness: on a loaded or small box the real lag
+      sits well under K), and the coordinator's summed blocking waits;
     * a deterministic serial-delayed *quality* arm
       (:func:`_staleness_quality`) grading what the staleness actually
       costs the healing loop — detection latency, repair success,
       post-heal SLO re-breaches, knowledge absorbed.
 
     ``healing_deltas`` reports each budget's quality drift against the
-    K=0 row, which is bit-identical to the classic barrier.
+    K=0 row, the round barrier.
     """
     n_services = 4
     episodes = 2 if quick else 4
@@ -331,7 +338,8 @@ def _bench_staleness(quick: bool, repeats: int) -> dict:
         quality = _staleness_quality(n_services, episodes, seed, budget)
         if baseline_quality is None:
             baseline_quality = quality
-        ledger = (timed["transport"] or {}).get("staleness") or {}
+        transport = timed["transport"]
+        ledger = transport["staleness"]
         deltas = {}
         for key in (
             "undetected",
@@ -356,7 +364,9 @@ def _bench_staleness(quick: bool, repeats: int) -> dict:
             "ring_slots": ledger.get("ring_slots"),
             "observed_lag_max": ledger.get("lag_max"),
             "observed_lag_mean": ledger.get("lag_mean"),
-            "consume_wait_s": ledger.get("consume_wait_s"),
+            "barrier_wait_s": round(
+                sum(sum(waits) for waits in transport["barrier_wait_s"]), 6
+            ),
             "quality": quality,
             "healing_deltas_vs_k0": deltas,
         }
@@ -436,7 +446,7 @@ def run_perf_suite(
             f"({time.perf_counter() - started:.1f}s measured)"
         )
     return {
-        "schema": "repro-perf/7",
+        "schema": "repro-perf/8",
         "quick": quick,
         "repeats": repeats,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -462,12 +472,8 @@ def check_fleet_equivalence(
     counters.  Prints a verdict per configuration; returns True when
     everything matched.  This is the CI regression smoke for the
     shared-memory transport: any encoding bug that perturbs the
-    aggregate statistics fails it immediately.
-
-    Since the bounded-staleness executor landed, the gate also runs
-    the K=0 staleness configurations — serial-delayed and the
-    free-running sharded consumer (per worker count) — which must be
-    bit-identical to the barrier reference too.
+    aggregate statistics fails it immediately.  Every run is at the
+    default ``staleness_rounds=0``, so each must also ledger zero lag.
     """
     from repro.fleet.campaign import run_fleet_campaign
     from repro.scenarios.corpus import _canonical_target
@@ -522,29 +528,12 @@ def check_fleet_equivalence(
     for workers in worker_counts:
         result = run_fleet_campaign(workers=workers, **shape)
         matched = fingerprint(result) == serial
-        ok = ok and matched
+        ledger = result.transport["staleness"]
+        lag_zero = ledger["lag_max"] == 0
+        ok = ok and matched and lag_zero
         print(
             f"fleet equivalence workers={workers} vs serial "
             f"{shape_label}: {'identical' if matched else 'MISMATCH'}"
-        )
-    # K=0 bounded staleness must degenerate to the barrier exactly:
-    # the serial-delayed arm and the free-running sharded consumer
-    # both join the bit-exactness gate.
-    staleness_configs = [(1, "serial-delayed")] + [
-        (workers, "sharded-async") for workers in worker_counts
-    ]
-    for workers, mode in staleness_configs:
-        result = run_fleet_campaign(
-            workers=workers, staleness_rounds=0, **shape
-        )
-        matched = fingerprint(result) == serial
-        ledger = (result.transport or {}).get("staleness") or {}
-        lag_zero = ledger.get("lag_max") == 0
-        ok = ok and matched and lag_zero
-        print(
-            f"staleness K=0 workers={workers} ({mode}) vs serial "
-            f"{shape_label}: "
-            f"{'identical' if matched else 'MISMATCH'}"
             + ("" if lag_zero else f" NONZERO LAG ({ledger})")
         )
     return ok
@@ -578,7 +567,7 @@ def check_staleness_divergence(
         episodes_per_service=episodes_per_service,
         seed=seed,
     )
-    reference = run_fleet_campaign(workers=1, staleness_rounds=0, **shape)
+    reference = run_fleet_campaign(workers=1, **shape)
     expected_rounds = reference.transport["rounds"]
     ok = True
     for budget in budgets:
@@ -607,8 +596,7 @@ def check_staleness_divergence(
         sharded = run_fleet_campaign(
             workers=workers, staleness_rounds=budget, **shape
         )
-        ledger = (sharded.transport or {}).get("staleness") or {}
-        lag_max = ledger.get("lag_max", 0)
+        lag_max = sharded.transport["staleness"]["lag_max"]
         within = (
             budget == float("inf") or lag_max <= budget
         ) and sharded.injected == reference.injected

@@ -210,7 +210,7 @@ def _run_fleet(args: argparse.Namespace) -> str:
     from repro.fleet.campaign import format_fleet, run_fleet_campaign
 
     # --profile on a sharded fleet must profile the *workers*: the
-    # coordinator only merges barriers, so its own cProfile (the
+    # coordinator only merges rounds, so its own cProfile (the
     # _profiled wrapper) misses essentially all fleet time.  Mirrors
     # run_fleet_campaign's sharded-runner condition — a single-service
     # fleet runs in-process and produces no worker dumps.
@@ -224,23 +224,21 @@ def _run_fleet(args: argparse.Namespace) -> str:
         from repro.scenarios.packs import get_scenario
 
         scenario = _resolve(get_scenario, scenario)
-    staleness = args.staleness
-    if staleness is not None:
-        # Input errors (a non-integer budget) exit 2 like every other
-        # malformed CLI value; run_fleet_campaign revalidates range.
-        if str(staleness).strip().lower() in ("inf", "infinity"):
-            staleness = float("inf")
-        else:
-            def parse_budget(raw):
-                try:
-                    return int(raw)
-                except ValueError:
-                    raise ValueError(
-                        f"--staleness must be an integer or 'inf', "
-                        f"got {raw!r}"
-                    ) from None
+    # Input errors (a non-integer budget) exit 2 like every other
+    # malformed CLI value; run_fleet_campaign revalidates range.
+    if args.staleness.strip().lower() in ("inf", "infinity"):
+        staleness = float("inf")
+    else:
+        def parse_budget(raw):
+            try:
+                return int(raw)
+            except ValueError:
+                raise ValueError(
+                    f"--staleness must be an integer or 'inf', "
+                    f"got {raw!r}"
+                ) from None
 
-            staleness = _resolve(parse_budget, staleness)
+        staleness = _resolve(parse_budget, args.staleness)
     with contextlib.ExitStack() as stack:
         profile_dir = (
             stack.enter_context(tempfile.TemporaryDirectory())
@@ -696,12 +694,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--staleness",
-        default=None,
+        default="0",
         metavar="K",
         help="bounded-staleness knowledge exchange: absorb the shared "
         "log up to K rounds late (an integer, or 'inf' for "
-        "unbounded).  0 is bit-identical to the default barrier "
-        "exchange; omit for the classic barrier executor",
+        "unbounded; default: 0, the round barrier)",
     )
 
     report = subparsers.add_parser("report", help=_COMMANDS["report"][1])

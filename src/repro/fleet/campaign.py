@@ -20,25 +20,23 @@ pure function of ``(seed, fleet shape)`` — identical for 1 worker or
 8, which is what makes the parallel speedup measurable against a
 bit-identical serial baseline.
 
-The parallel executor keeps the Pipe only for the startup handshake,
-the final results, and crash relay; every per-round exchange rides the
-shared-memory segments in :mod:`repro.fleet.transport`.  Workers
-receive their whole fault schedule at spawn, absorb fleet knowledge
-in-process against the append-only shared knowledge log ("entries
-published before round R" — the same barrier semantics the serial
-runner implements with cursors), and publish round output into
-ring-buffered segments the coordinator merges with vectorized
-stacked-array appends, overlapped with the workers' next round of
-compute.  See ``docs/performance.md`` ("Fleet transport") for the
-layout and the equivalence argument.
+The sharded executor (:func:`_run_sharded`) keeps the Pipe only for
+the startup handshake, the final results, and crash relay; every
+per-round exchange rides the shared-memory segments in
+:mod:`repro.fleet.transport`.  Workers receive their whole fault
+schedule at spawn, absorb fleet knowledge in-process against the
+append-only shared knowledge log ("entries published before round R"
+— the same barrier semantics the serial runner implements with
+cursors), and publish round output into per-worker rings the
+coordinator drains and merges in round order with vectorized
+stacked-array appends.
 
-``staleness_rounds=K`` opts into *bounded-staleness* exchange: the
+``staleness_rounds=K`` bounds how stale that knowledge may be: the
 knowledge watermark decouples from the round counter, workers absorb
-the shared log up to K rounds late, and the coordinator becomes a
-free-running consumer of per-worker output rings
-(:func:`_run_sharded_staleness`).  ``K = 0`` reproduces the barrier
-bit-exactly; see ``docs/performance.md`` ("Bounded-staleness
-exchange").
+the shared log up to K rounds late, and the coordinator dispatches up
+to K rounds ahead of its merge frontier.  The default ``K = 0`` is the
+round barrier itself.  See ``docs/performance.md`` ("Fleet
+transport") for the layout and the equivalence argument.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ from repro.fleet.knowledge import KnowledgeEntry, SharedKnowledgeBase
 from repro.fleet.loadbalancer import FleetLoadBalancer
 from repro.fleet.member import FleetMember, FleetRoundStats
 from repro.fleet.transport import (
-    ControlSegment,
     KnowledgeLogSegment,
     StalenessControlSegment,
     Vocab,
@@ -135,9 +132,8 @@ class FleetResult:
         n_services / episodes_per_service / seed / workers /
         share_knowledge: the campaign shape, echoed for reports.
         staleness_rounds: the bounded-staleness budget the campaign
-            ran with (``None`` = classic barrier exchange, ``0`` =
-            barrier-equivalent staleness executor, ``K`` = absorb up
-            to K rounds late, ``inf`` = unbounded).
+            ran with (``0`` = the round barrier, ``K`` = absorb up to
+            K rounds late, ``inf`` = unbounded).
         slo_breaches_after_heal: verified heals whose SLO re-broke
             within the post-heal window (``None`` unless the campaign
             ran with ``track_slo=True``).
@@ -166,7 +162,7 @@ class FleetResult:
     seed: int
     workers: int
     share_knowledge: bool
-    staleness_rounds: int | float | None = None
+    staleness_rounds: int | float = 0
     slo_breaches_after_heal: int | None = None
     knowledge_entries: int = 0
     knowledge_absorbed: int = 0
@@ -248,12 +244,8 @@ def _transport_vocab() -> tuple[str, ...]:
     return tuple(dict.fromkeys((*ALL_FIX_KINDS, "healed", "admin")))
 
 
-def _normalize_staleness(
-    staleness_rounds: int | float | None,
-) -> int | float | None:
-    """Validate a staleness budget: None, a whole number >= 0, or inf."""
-    if staleness_rounds is None:
-        return None
+def _normalize_staleness(staleness_rounds: int | float) -> int | float:
+    """Validate a staleness budget: a whole number >= 0, or inf."""
     if staleness_rounds == float("inf"):
         return float("inf")
     try:
@@ -262,8 +254,8 @@ def _normalize_staleness(
         budget = -1
     if budget != staleness_rounds or budget < 0:
         raise ValueError(
-            "staleness_rounds must be None, a non-negative integer, "
-            f"or float('inf'), got {staleness_rounds!r}"
+            "staleness_rounds must be a non-negative integer or "
+            f"float('inf'), got {staleness_rounds!r}"
         )
     return budget
 
@@ -339,7 +331,7 @@ def _fleet_worker(
     profile_path: str | None,
     dispatch_sem,
     done_sem,
-    staleness_slots: int | None = None,
+    ring_slots: int,
 ) -> None:
     """Persistent shard process owning a subset of replicas.
 
@@ -351,19 +343,16 @@ def _fleet_worker(
     watermarks in, downtime/absorb counts and learned signatures out —
     is entirely shared-memory, synchronized by the dispatch/done
     semaphore pair (whose acquire/release ordering makes the segment
-    reads safe on any architecture).  Knowledge absorption happens
-    here, in the worker, against the append-only shared log: member
-    ``i`` absorbs the foreign entries below the round's watermark,
-    exactly the serial runner's cursor semantics.
+    reads safe on any architecture).
 
-    With ``staleness_slots`` set (the bounded-staleness executor) the
-    worker attaches a per-worker :class:`StalenessControlSegment`
-    instead of the global barrier control block: each dispatch record
-    carries the watermark the coordinator had merged when the dispatch
-    was issued — decoupled from the round counter — plus the merge
-    frontier, from which the worker ledgers its observed round lag.
-    The compute path is untouched; only where the watermark comes from
-    changes.
+    Dispatches arrive through the worker's own ``ring_slots``-deep
+    :class:`StalenessControlSegment`: each record carries the
+    watermark the coordinator had merged when it issued the dispatch,
+    plus its merge frontier, from which the worker ledgers its
+    observed round lag.  Knowledge absorption happens here, in the
+    worker, against the append-only shared log: member ``i`` absorbs
+    the foreign entries below the dispatch's watermark, exactly the
+    serial runner's cursor semantics.
     """
     control = log = out = None
     profiler = None
@@ -396,21 +385,17 @@ def _fleet_worker(
             out_name,
             out_entries,
             out_data,
-            out_slots,
         ) = message
-        if staleness_slots is not None:
-            control = StalenessControlSegment.attach(
-                control_name, staleness_slots, n_services
-            )
-        else:
-            control = ControlSegment(n_services, name=control_name)
+        control = StalenessControlSegment.attach(
+            control_name, ring_slots, n_services
+        )
         log = KnowledgeLogSegment.attach(log_name, log_entries, log_data)
         out = WorkerOutSegment.attach(
-            out_name, len(order), out_entries, out_data, n_slots=out_slots
+            out_name, len(order), out_entries, out_data, n_slots=ring_slots
         )
         cursors = {i: 0 for i in order}
-        staleness_lags: list[int] = []
-        staleness_marks: list[int] = []
+        round_lags: list[int] = []
+        watermarks: list[int] = []
 
         def coordinator_alive() -> None:
             if control.aborted():
@@ -421,37 +406,28 @@ def _fleet_worker(
         dispatch_wait_s = 0.0
         for round_index in range(n_rounds):
             wait_started = time.perf_counter()
+            # A dispatch can trail the coordinator's own wait on the
+            # slowest worker by up to ``barrier_timeout``; allowing
+            # twice that lets the coordinator report a stall first,
+            # naming the stalled worker.
             acquire_with_liveness(
                 dispatch_sem,
-                timeout=barrier_timeout,
+                timeout=2 * barrier_timeout,
                 liveness=coordinator_alive,
                 what=f"round {round_index} dispatch",
             )
             dispatch_wait_s += time.perf_counter() - wait_started
-            if staleness_slots is not None:
-                watermark, frontier, targets = control.read_dispatch(
-                    round_index
+            watermark, frontier, targets = control.read_dispatch(round_index)
+            round_lags.append(round_index - frontier)
+            watermarks.append(watermark)
+            # Sanity, not synchronization: the dispatch semaphore
+            # already fenced the log stores.
+            if log.published < watermark:  # pragma: no cover - guard
+                raise RuntimeError(
+                    f"round {round_index} dispatched with watermark "
+                    f"{watermark} ahead of the published log "
+                    f"({log.published})"
                 )
-                staleness_lags.append(round_index - frontier)
-                staleness_marks.append(watermark)
-                if log.published < watermark:  # pragma: no cover - guard
-                    raise RuntimeError(
-                        f"round {round_index} dispatched with watermark "
-                        f"{watermark} ahead of the published log "
-                        f"({log.published})"
-                    )
-            else:
-                watermark, targets = control.read_round(round_index)
-                # Sanity, not synchronization: the dispatch semaphore
-                # already fenced these stores.
-                if (
-                    control.round_published() <= round_index
-                    or log.published < watermark
-                ):  # pragma: no cover - protocol guard
-                    raise RuntimeError(
-                        f"round {round_index} dispatched before its "
-                        "control/log stores were published"
-                    )
             lo = round_index * episodes_per_round
             hi = min(lo + episodes_per_round, n_slots)
             downtime: list[float] = []
@@ -511,14 +487,8 @@ def _fleet_worker(
                     },
                     "perf": {
                         "dispatch_wait_s": dispatch_wait_s,
-                        "staleness": (
-                            {
-                                "round_lag": staleness_lags,
-                                "watermark": staleness_marks,
-                            }
-                            if staleness_slots is not None
-                            else None
-                        ),
+                        "round_lag": round_lags,
+                        "watermark": watermarks,
                     },
                 },
             )
@@ -539,8 +509,31 @@ def _fleet_worker(
         conn.close()
 
 
-def _recv(conn):
-    status, payload = conn.recv()
+def _worker_died(
+    worker_id: int, process: multiprocessing.Process
+) -> RuntimeError:
+    """The error for a worker that exited without relaying one.
+
+    Its pipe is already at EOF, so the worker is dead and the join
+    returns at once; joining first makes ``exitcode`` available.
+    """
+    process.join(timeout=5)
+    return RuntimeError(
+        f"fleet worker {worker_id} died without reporting an error "
+        f"(exitcode {process.exitcode})"
+    )
+
+
+def _recv(conn, worker_id: int, process: multiprocessing.Process):
+    """One reply from worker ``worker_id``, relaying its failure.
+
+    A worker that raised sends its traceback; one that was killed
+    (e.g. SIGKILL) leaves only EOF on its pipe.
+    """
+    try:
+        status, payload = conn.recv()
+    except EOFError:
+        raise _worker_died(worker_id, process) from None
     if status == "error":
         raise RuntimeError(f"fleet worker failed:\n{payload}")
     return payload
@@ -568,30 +561,6 @@ def _join(processes: list[multiprocessing.Process]) -> None:
             process.join()
 
 
-def _barrier_merge(
-    shards: list[list[int]],
-    outs: list[WorkerOutSegment],
-    round_index: int,
-    n_services: int,
-    balancer: FleetLoadBalancer,
-    log: KnowledgeLogSegment,
-    enabled: bool,
-) -> tuple[list[float], list[float], int, tuple[int, int] | None]:
-    """Process one completed round's worker outputs at the barrier.
-
-    Reads the round-parity output buffers (zero-copy), rebalances, and
-    appends the round's contributions to the shared knowledge log in
-    replica order.  Returns ``(lb targets, per-service downtime,
-    absorbed delta, appended log block or None)``.  Scoping the
-    segment views to this function guarantees none outlive the round —
-    a lingering view would pin the shared buffers open past teardown.
-    """
-    reads = [out.read_round(round_index) for out in outs]
-    return _merge_round_reads(
-        shards, reads, n_services, balancer, log, enabled
-    )
-
-
 def _merge_round_reads(
     shards: list[list[int]],
     reads: list[dict],
@@ -599,14 +568,13 @@ def _merge_round_reads(
     balancer: FleetLoadBalancer,
     log: KnowledgeLogSegment,
     enabled: bool,
-) -> tuple[list[float], list[float], int, tuple[int, int] | None]:
-    """Merge one round's per-worker output columns (views or copies).
+) -> tuple[list[float], list[float], int]:
+    """Merge one round's stashed per-worker output columns.
 
-    The shared body of the barrier merge and the staleness executor's
-    frontier merge: rebalance on the round's downtime and append its
-    contributions to the shared log in replica order — the serial
-    merge order, which is what keeps the log bytes identical across
-    executors.
+    Rebalances on the round's downtime and appends its contributions
+    to the shared log in replica order — the serial merge order, which
+    is what keeps the log bytes identical for any worker count.
+    Returns ``(lb targets, per-service downtime, absorbed delta)``.
     """
     downtime = [0.0] * n_services
     absorbed = 0
@@ -615,15 +583,9 @@ def _merge_round_reads(
             downtime[i] = float(read["downtime"][k])
         absorbed += int(read["absorbed"].sum())
     lb_targets = balancer.rebalance(downtime)
-    block = None
     if enabled and any(int(read["counts"].sum()) for read in reads):
-        flat, lengths, sources, fix_codes, origin_codes = (
-            _regroup_contributions(shards, reads)
-        )
-        block_lo = log.published
-        log.append_batch(flat, lengths, sources, fix_codes, origin_codes)
-        block = (block_lo, log.published)
-    return lb_targets, downtime, absorbed, block
+        log.append_batch(*_regroup_contributions(shards, reads))
+    return lb_targets, downtime, absorbed
 
 
 def _regroup_contributions(
@@ -632,7 +594,7 @@ def _regroup_contributions(
     """Reorder per-worker round output into replica order.
 
     Each worker publishes its contributions grouped by member (in its
-    shard's index order); the barrier merge must interleave shards
+    shard's index order); the round merge must interleave shards
     back into global replica order.  Work is per *member group*
     (array slices), never per entry.
     """
@@ -673,6 +635,30 @@ def _regroup_contributions(
     return flat, lengths, sources, fix_codes, origin_codes
 
 
+def _fill_host_base(
+    knowledge: SharedKnowledgeBase,
+    log: KnowledgeLogSegment,
+    vocab_words: tuple[str, ...],
+) -> None:
+    """Copy the whole shared log into the coordinator's host base.
+
+    One coded-column append: the transport's string codes copy
+    straight through.  Scoping the segment views to this function
+    keeps them from pinning the shared buffer past teardown.
+    """
+    sources, fix_codes, origin_codes, bounds, data = log.read_entries(
+        0, log.published
+    )
+    knowledge.contribute_batch_coded(
+        data[: int(bounds[-1])],
+        np.diff(bounds),
+        sources,
+        fix_codes,
+        origin_codes,
+        vocab_words,
+    )
+
+
 def run_fleet_campaign(
     n_services: int = 4,
     episodes_per_service: int = 8,
@@ -694,7 +680,7 @@ def run_fleet_campaign(
     events_path: str | None = None,
     profile_dir: str | None = None,
     barrier_timeout: float = 600.0,
-    staleness_rounds: int | float | None = None,
+    staleness_rounds: int | float = 0,
     track_slo: bool = False,
 ) -> FleetResult:
     """Run a correlated-fault campaign over a fleet of replicas.
@@ -737,25 +723,24 @@ def run_fleet_campaign(
             ``fleet-worker-<k>.prof`` into this directory at shutdown
             (the in-process runner produces no dumps — profile the
             coordinator directly).
-        barrier_timeout: seconds a round barrier may wait on shared
-            memory before the campaign is declared hung.
-        staleness_rounds: opt-in bounded-staleness knowledge exchange.
-            ``None`` (the default) keeps the classic barrier executor.
-            An integer ``K`` lets every replica absorb the shared
-            knowledge log up to ``K`` rounds late: the parallel
+        barrier_timeout: seconds the coordinator may wait on one
+            worker's round before the campaign is declared hung
+            (workers allow twice that for their next dispatch).
+        staleness_rounds: bounded-staleness knowledge exchange.  An
+            integer ``K`` lets every replica absorb the shared
+            knowledge log up to ``K`` rounds late: the sharded
             executor decouples the knowledge watermark from the round
             counter (workers read the freshest published watermark at
             dispatch time, the coordinator free-runs as a consumer of
             per-worker output rings), while the in-process runner
             models the same budget deterministically by absorbing up
-            to the watermark recorded ``K`` rounds ago.  ``K = 0``
-            reproduces the barrier semantics bit-exactly — same
-            goldens, same telemetry event bytes (the CI equivalence
-            gate pins this).  ``float("inf")`` removes the budget:
-            sharded workers free-run against pure ring backpressure;
-            the serial model never absorbs (the fully-stale limit).
-            The observed per-round lag ledger lands in
-            ``FleetResult.transport["staleness"]``.
+            to the watermark recorded ``K`` rounds ago.  The default
+            ``K = 0`` is the round barrier: every round absorbs
+            everything merged before it.  ``float("inf")`` removes
+            the budget: sharded workers free-run against pure ring
+            backpressure; the serial model never absorbs (the
+            fully-stale limit).  The observed per-round lag ledger
+            lands in ``FleetResult.transport["staleness"]``.
         track_slo: keep every member's per-tick SLO timeline and grade
             each verified heal against the post-heal window
             (``FleetResult.slo_breaches_after_heal`` — the staleness
@@ -868,42 +853,34 @@ def run_fleet_campaign(
     merge_s = 0.0
     member_event_streams: list[list[dict]] = []
 
-    staleness_ledger: dict | None = None
     slo_breaches: int | None = None
     use_workers = workers > 1 and n_services > 1
     if use_workers:
-        runner_kwargs = dict(
-            n_services=n_services,
-            workers=workers,
-            seed=seed,
-            queues=queues,
-            member_kwargs=member_kwargs,
-            max_episode_wait=max_episode_wait,
-            settle_ticks=settle_ticks,
-            n_rounds=n_rounds,
-            episodes_per_round=episodes_per_round,
-            n_slots=n_slots,
-            knowledge=knowledge,
-            balancer=balancer,
-            barrier_timeout=barrier_timeout,
-            profile_dir=profile_dir,
-            hub=hub,
-            round_lags=round_lags,
+        campaigns, absorbed_total, events_by_member, shard_perf = (
+            _run_sharded(
+                n_services=n_services,
+                workers=workers,
+                seed=seed,
+                queues=queues,
+                member_kwargs=member_kwargs,
+                max_episode_wait=max_episode_wait,
+                settle_ticks=settle_ticks,
+                n_rounds=n_rounds,
+                episodes_per_round=episodes_per_round,
+                n_slots=n_slots,
+                knowledge=knowledge,
+                balancer=balancer,
+                barrier_timeout=barrier_timeout,
+                profile_dir=profile_dir,
+                hub=hub,
+                round_lags=round_lags,
+                staleness_rounds=staleness,
+            )
         )
-        if staleness is None:
-            campaigns, absorbed_total, events_by_member, shard_perf = (
-                _run_sharded(**runner_kwargs)
-            )
-        else:
-            campaigns, absorbed_total, events_by_member, shard_perf = (
-                _run_sharded_staleness(
-                    staleness_rounds=staleness, **runner_kwargs
-                )
-            )
         barrier_wait_s = shard_perf["barrier_wait_s"]
         dispatch_wait_s = shard_perf["dispatch_wait_s"]
         merge_s = shard_perf["merge_s"]
-        staleness_ledger = shard_perf.get("staleness")
+        staleness_ledger = shard_perf["staleness"]
         if hub is not None:
             member_event_streams = [
                 events_by_member[i] for i in range(n_services)
@@ -939,24 +916,16 @@ def run_fleet_campaign(
             hi = min(lo + episodes_per_round, n_slots)
             watermark = knowledge.n_entries
             watermark_history.append(watermark)
-            # Bounded-staleness (serial model): absorb only up to the
+            # Bounded staleness (serial model): absorb only up to the
             # watermark recorded ``K`` rounds ago — the deterministic
             # worst case of the sharded executor's opportunistic
-            # freshness.  ``K = 0`` absorbs to the current watermark,
-            # exactly the classic barrier; ``inf`` never absorbs.
-            if staleness is None or staleness == 0:
-                absorb_watermark = watermark
-                if staleness is not None:
-                    serial_lag.append(0)
-            elif staleness == float("inf"):
-                absorb_watermark = 0
-                serial_lag.append(round_index)
-            else:
-                behind = round_index - staleness
-                absorb_watermark = (
-                    watermark_history[behind] if behind >= 0 else 0
-                )
-                serial_lag.append(min(round_index, staleness))
+            # freshness.  ``K = 0`` absorbs to the current watermark
+            # (the round barrier); ``inf`` never absorbs.
+            behind = round_index - staleness
+            absorb_watermark = (
+                watermark_history[behind] if behind >= 0 else 0
+            )
+            serial_lag.append(min(round_index, staleness))
             round_stats: list[FleetRoundStats] = []
             for i, member in enumerate(members):
                 external, cursors[i] = knowledge.updates_window(
@@ -1006,17 +975,14 @@ def run_fleet_campaign(
             slo_breaches = sum(
                 member.slo_breach_after_heal(window) for member in members
             )
-        if staleness is not None:
-            staleness_ledger = {
-                "mode": "serial-delayed",
-                "round_lag": serial_lag,
-                "lag_max": max(serial_lag) if serial_lag else 0,
-                "lag_mean": (
-                    sum(serial_lag) / len(serial_lag)
-                    if serial_lag
-                    else 0.0
-                ),
-            }
+        staleness_ledger = {
+            "mode": "serial-delayed",
+            "round_lag": serial_lag,
+            "lag_max": max(serial_lag) if serial_lag else 0,
+            "lag_mean": (
+                sum(serial_lag) / len(serial_lag) if serial_lag else 0.0
+            ),
+        }
         if hub is not None:
             member_event_streams = [
                 member.telemetry.events for member in members
@@ -1028,33 +994,20 @@ def run_fleet_campaign(
             recorder.summary(i, campaign.injected, campaign.undetected)
         trace_sha = recorder.close()
 
-    staleness_repr = (
-        None
-        if staleness is None
-        else ("inf" if staleness == float("inf") else staleness)
-    )
-    if staleness_ledger is not None:
-        staleness_ledger = {"rounds": staleness_repr, **staleness_ledger}
+    staleness_repr = "inf" if staleness == float("inf") else staleness
+    staleness_ledger = {"rounds": staleness_repr, **staleness_ledger}
 
     events_sha = None
     if hub is not None:
-        if staleness is not None and staleness != 0:
-            # K = 0 emits nothing extra: its event bytes must equal
-            # the barrier executor's (the equivalence gate's telemetry
-            # half).  K > 0 records its lag envelope in the log.
+        if staleness != 0:
+            # K > 0 records its lag envelope in the log.  The K = 0
+            # barrier emits nothing extra: the committed event SHAs
+            # and corpus logs pin its bytes.
             hub.emit(
                 "fleet_staleness",
                 rounds=staleness_repr,
-                lag_max=(
-                    staleness_ledger["lag_max"]
-                    if staleness_ledger is not None
-                    else 0
-                ),
-                lag_mean=(
-                    staleness_ledger["lag_mean"]
-                    if staleness_ledger is not None
-                    else 0.0
-                ),
+                lag_max=staleness_ledger["lag_max"],
+                lag_mean=staleness_ledger["lag_mean"],
             )
         hub.emit(
             "fleet_end",
@@ -1100,9 +1053,8 @@ def run_fleet_campaign(
         "barrier_wait_s": barrier_wait_s,
         "dispatch_wait_s": dispatch_wait_s,
         "merge_s": merge_s,
-        # Bounded-staleness ledger (None when the classic barrier
-        # executor ran): budget, observed per-round lag, and — for the
-        # sharded executor — ring depth and consume-wait timing.
+        # Bounded-staleness ledger: budget, observed per-round lag,
+        # and — for the sharded executor — the ring depth.
         "staleness": staleness_ledger,
     }
 
@@ -1144,285 +1096,18 @@ def _run_sharded(
     balancer: FleetLoadBalancer,
     barrier_timeout: float,
     profile_dir: str | None,
-    hub=None,
-    round_lags: list[int] | None = None,
+    hub,
+    round_lags: list[int],
+    staleness_rounds: int | float,
 ) -> tuple[list[CampaignResult], int, dict[int, list[dict]], dict]:
-    """The coordinator side of the shared-memory parallel executor.
+    """The coordinator of the sharded executor: a free-running consumer.
 
-    Round protocol (after the one-time handshake):
-
-    1. write ``(lb targets, knowledge watermark)`` for round R into
-       the double-buffered control segment and release every worker's
-       dispatch semaphore (the release fences the stores — including
-       the shared-log append from the previous barrier that the
-       watermark covers);
-    2. with the workers now simulating round R, perform the *deferred*
-       host-side merge of round R-1's contributions — a pure coded
-       column append into the host knowledge base, overlapped with
-       worker compute;
-    3. acquire every worker's done semaphore, read downtime/absorb
-       counts and contributions as zero-copy views of the round-parity
-       output buffers, rebalance, and append the contributions to the
-       shared knowledge log (in replica order — the serial merge
-       order) ready for round R+1's watermark.
-    """
-    vocab_words = _transport_vocab()
-    absorbed_total = 0
-    if round_lags is None:
-        round_lags = []
-    barrier_wait_s: list[list[float]] = []
-    merge_s = 0.0
-    # Start the resource tracker *before* forking workers so they
-    # inherit it.  The segments are only created after the handshake;
-    # a worker that forked trackerless would lazily spawn its own
-    # tracker on attach and "clean up" the coordinator's live segments
-    # when it exits.
-    try:  # pragma: no cover - private but stable across 3.8-3.13
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-    except Exception:
-        pass
-    shards: list[list[int]] = [
-        [] for _ in range(min(workers, n_services))
-    ]
-    for i in range(n_services):
-        shards[i % len(shards)].append(i)
-
-    processes: list[multiprocessing.Process] = []
-    connections = []
-    dispatch_sems = []
-    done_sems = []
-    control = None
-    log = None
-    outs: list[WorkerOutSegment] = []
-    try:
-        for worker_id, shard in enumerate(shards):
-            parent_conn, child_conn = multiprocessing.Pipe()
-            dispatch_sem = multiprocessing.Semaphore(0)
-            done_sem = multiprocessing.Semaphore(0)
-            profile_path = (
-                os.path.join(
-                    profile_dir, f"fleet-worker-{worker_id}.prof"
-                )
-                if profile_dir is not None
-                else None
-            )
-            process = multiprocessing.Process(
-                target=_fleet_worker,
-                args=(
-                    child_conn,
-                    shard,
-                    seed,
-                    {i: queues[i] for i in shard},
-                    member_kwargs,
-                    max_episode_wait,
-                    settle_ticks,
-                    n_rounds,
-                    episodes_per_round,
-                    n_slots,
-                    vocab_words,
-                    barrier_timeout,
-                    profile_path,
-                    dispatch_sem,
-                    done_sem,
-                ),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            processes.append(process)
-            connections.append(parent_conn)
-            dispatch_sems.append(dispatch_sem)
-            done_sems.append(done_sem)
-
-        # Handshake: symptom widths size the ragged segments.  The
-        # knowledge log's structural bound is one contribution per
-        # episode slot per replica.
-        max_dim = max(_recv(conn) for conn in connections)
-        log_entries = n_services * max(n_slots, 1) + 16
-        log_data = log_entries * max(max_dim, 1)
-        control = ControlSegment(n_services)
-        log = KnowledgeLogSegment(log_entries, log_data)
-        for shard, conn in zip(shards, connections):
-            out_entries = 2 * len(shard) * episodes_per_round + 8
-            out_data = out_entries * max(max_dim, 1)
-            out = WorkerOutSegment(len(shard), out_entries, out_data)
-            outs.append(out)
-            conn.send(
-                (
-                    "attach",
-                    control.name,
-                    n_services,
-                    log.name,
-                    log_entries,
-                    log_data,
-                    out.name,
-                    out_entries,
-                    out_data,
-                    out.n_slots,
-                )
-            )
-
-        def workers_alive() -> None:
-            for process, conn in zip(processes, connections):
-                if conn.poll():
-                    _recv(conn)  # raises with the worker's traceback
-                if not process.is_alive():
-                    raise RuntimeError(
-                        "fleet worker died without reporting an error"
-                    )
-
-        def merge_pending_into_host_base() -> None:
-            # Deferred host-side merge: the shared log already holds
-            # the block (coordinator-owned, immutable), and the coded
-            # string columns copy straight through.
-            nonlocal pending
-            if pending is None:
-                return
-            lo, hi = pending
-            pending = None
-            sources, fix_codes, origin_codes, bounds, data = (
-                log.read_entries(lo, hi)
-            )
-            knowledge.contribute_batch_coded(
-                data[int(bounds[0]) : int(bounds[-1])],
-                np.diff(bounds),
-                sources,
-                fix_codes,
-                origin_codes,
-                vocab_words,
-            )
-
-        lb_targets = [1.0] * n_services
-        pending: tuple[int, int] | None = None
-        for round_index in range(n_rounds):
-            watermark = log.published
-            control.publish_round(
-                round_index, log.published, lb_targets
-            )
-            for dispatch_sem in dispatch_sems:
-                dispatch_sem.release()
-            # The workers are simulating round R now — overlap the
-            # host knowledge-base merge of round R-1's contributions
-            # with their compute.
-            merge_started = time.perf_counter()
-            merge_pending_into_host_base()
-            merge_s += time.perf_counter() - merge_started
-            waits: list[float] = []
-            for worker_id, done_sem in enumerate(done_sems):
-                wait_started = time.perf_counter()
-                acquire_with_liveness(
-                    done_sem,
-                    timeout=barrier_timeout,
-                    liveness=workers_alive,
-                    what=(
-                        f"round {round_index} outputs "
-                        f"(worker {worker_id})"
-                    ),
-                )
-                waits.append(time.perf_counter() - wait_started)
-            barrier_wait_s.append(waits)
-            merge_started = time.perf_counter()
-            lb_targets, downtime, absorbed, pending = _barrier_merge(
-                shards,
-                outs,
-                round_index,
-                n_services,
-                balancer,
-                log,
-                knowledge.enabled,
-            )
-            merge_s += time.perf_counter() - merge_started
-            # The merge's views are dropped; free the round's slot.
-            # The next dispatch release fences this store for the
-            # worker's write-guard read.
-            for out in outs:
-                out.mark_consumed(round_index)
-            absorbed_total += absorbed
-            published = log.published - watermark
-            round_lags.append(published)
-            if hub is not None:
-                hub.emit(
-                    "fleet_round",
-                    round=round_index,
-                    watermark=watermark,
-                    published=published,
-                    absorbed=absorbed,
-                    lag=published,
-                    downtime=downtime,
-                )
-        merge_started = time.perf_counter()
-        merge_pending_into_host_base()
-        merge_s += time.perf_counter() - merge_started
-
-        per_service: dict[int, CampaignResult] = {}
-        events_by_member: dict[int, list[dict]] = {}
-        dispatch_wait_s: list[float] = []
-        for conn in connections:
-            conn.send(("finish",))
-        for conn in connections:
-            payload = _recv(conn)
-            per_service.update(payload["results"])
-            events_by_member.update(payload.get("events") or {})
-            dispatch_wait_s.append(
-                float(payload["perf"]["dispatch_wait_s"])
-            )
-        return (
-            [per_service[i] for i in range(n_services)],
-            absorbed_total,
-            events_by_member,
-            {
-                "barrier_wait_s": barrier_wait_s,
-                "dispatch_wait_s": dispatch_wait_s,
-                "merge_s": merge_s,
-            },
-        )
-    except BaseException:
-        _terminate(processes)
-        raise
-    finally:
-        if control is not None:
-            control.abort()
-        for conn in connections:
-            conn.close()
-        _join(processes)
-        for segment in (control, log, *outs):
-            if segment is not None:
-                segment.close()
-                segment.unlink()
-
-
-def _run_sharded_staleness(
-    *,
-    n_services: int,
-    workers: int,
-    seed: int,
-    queues: list,
-    member_kwargs: dict,
-    max_episode_wait: int,
-    settle_ticks: int,
-    n_rounds: int,
-    episodes_per_round: int,
-    n_slots: int,
-    knowledge: SharedKnowledgeBase,
-    balancer: FleetLoadBalancer,
-    barrier_timeout: float,
-    profile_dir: str | None,
-    hub=None,
-    round_lags: list[int] | None = None,
-    staleness_rounds: int | float = 0,
-) -> tuple[list[CampaignResult], int, dict[int, list[dict]], dict]:
-    """The bounded-staleness coordinator: a free-running consumer.
-
-    Where :func:`_run_sharded` runs one global barrier per round, this
-    executor decouples dispatch from merge:
+    After a one-time handshake, dispatch and merge are decoupled:
 
     * each worker has its own dispatch ring
       (:class:`StalenessControlSegment`); a dispatch carries the
-      *freshest* merged watermark, not the round-numbered one — a
-      worker dispatched early absorbs whatever the coordinator had
-      merged at that instant;
+      round's balancer targets and the *freshest* merged watermark —
+      whatever the coordinator had merged when it issued the dispatch;
     * dispatch is gated, per worker, by the staleness budget
       (``next_round - merge_frontier <= K``) and the output ring
       (``next_round - stashed < ring_slots``);
@@ -1430,27 +1115,35 @@ def _run_sharded_staleness(
       (non-blocking semaphore acquires), copies each round's output
       out of its ring slot immediately (freeing the slot), and merges
       stashed rounds strictly in round order — replica order within a
-      round — so the shared log's byte stream stays coherent;
+      round — so the shared log holds the serial runner's bytes;
     * it blocks only when nothing else can move, and then only on a
-      worker that still owes the frontier round.
+      worker that still owes the frontier round.  Those waits are the
+      round's ``barrier_wait_s``.
 
     Deadlock-free because a worker's stashed count never trails the
     frontier (its rounds ``< F`` are merged, hence stashed), so the
-    frontier round always passes both dispatch gates.  With ``K = 0``
-    the gates force dispatch of round R to wait for the full merge of
-    round R-1 — exactly the barrier schedule, with the same log bytes,
-    merge order, and ``fleet_round`` telemetry (pinned by the
-    equivalence gate).
+    frontier round always passes both dispatch gates.  With the
+    default ``K = 0`` the gates force dispatch of round R to wait for
+    the full merge of round R-1: the round barrier, with the serial
+    runner's watermarks, merge order and ``fleet_round`` telemetry.
+
+    Nothing reads the coordinator's :class:`SharedKnowledgeBase`
+    before the campaign ends, so it is filled once from the shared
+    log after the last round.
     """
     vocab_words = _transport_vocab()
     absorbed_total = 0
-    if round_lags is None:
-        round_lags = []
     merge_s = 0.0
-    consume_wait_s = 0.0
+    barrier_wait_s: list[list[float]] = [[] for _ in range(n_rounds)]
     ring_slots = ring_slots_for(staleness_rounds)
-    unbounded = staleness_rounds == float("inf")
-    budget = None if unbounded else int(staleness_rounds)
+    budget = (
+        None if staleness_rounds == float("inf") else int(staleness_rounds)
+    )
+    # Start the resource tracker *before* forking workers so they
+    # inherit it.  The segments are only created after the handshake;
+    # a worker that forked trackerless would lazily spawn its own
+    # tracker on attach and "clean up" the coordinator's live segments
+    # when it exits.
     try:  # pragma: no cover - private but stable across 3.8-3.13
         from multiprocessing import resource_tracker
 
@@ -1512,7 +1205,15 @@ def _run_sharded_staleness(
             dispatch_sems.append(dispatch_sem)
             done_sems.append(done_sem)
 
-        max_dim = max(_recv(conn) for conn in connections)
+        # Handshake: symptom widths size the ragged segments.  The
+        # knowledge log's structural bound is one contribution per
+        # episode slot per replica.
+        max_dim = max(
+            _recv(conn, worker_id, process)
+            for worker_id, (process, conn) in enumerate(
+                zip(processes, connections)
+            )
+        )
         log_entries = n_services * max(n_slots, 1) + 16
         log_data = log_entries * max(max_dim, 1)
         log = KnowledgeLogSegment(log_entries, log_data)
@@ -1536,18 +1237,19 @@ def _run_sharded_staleness(
                     out.name,
                     out_entries,
                     out_data,
-                    ring_slots,
                 )
             )
 
         def workers_alive() -> None:
-            for process, conn in zip(processes, connections):
+            for worker_id, (process, conn) in enumerate(
+                zip(processes, connections)
+            ):
                 if conn.poll():
-                    _recv(conn)  # raises with the worker's traceback
+                    # Raises with the worker's traceback, or its exit
+                    # code when it died without one.
+                    _recv(conn, worker_id, process)
                 if not process.is_alive():
-                    raise RuntimeError(
-                        "fleet worker died without reporting an error"
-                    )
+                    raise _worker_died(worker_id, process)
 
         lb_targets = [1.0] * n_services
         dispatched = [0] * n_workers
@@ -1574,7 +1276,7 @@ def _run_sharded_staleness(
             reads = [stash.pop((w, r)) for w in range(n_workers)]
             merge_started = time.perf_counter()
             watermark = log.published
-            lb_targets, downtime, absorbed, block = _merge_round_reads(
+            lb_targets, downtime, absorbed = _merge_round_reads(
                 shards,
                 reads,
                 n_services,
@@ -1582,22 +1284,6 @@ def _run_sharded_staleness(
                 log,
                 knowledge.enabled,
             )
-            if block is not None:
-                # Host-base mirror of the appended block, immediately:
-                # there is no barrier to defer it behind — the workers
-                # are already free-running.
-                lo, hi = block
-                sources, fix_codes, origin_codes, bounds, data = (
-                    log.read_entries(lo, hi)
-                )
-                knowledge.contribute_batch_coded(
-                    data[int(bounds[0]) : int(bounds[-1])],
-                    np.diff(bounds),
-                    sources,
-                    fix_codes,
-                    origin_codes,
-                    vocab_words,
-                )
             merge_s += time.perf_counter() - merge_started
             absorbed_total += absorbed
             published = log.published - watermark
@@ -1617,7 +1303,7 @@ def _run_sharded_staleness(
         while frontier < n_rounds:
             # Dispatch every worker as far as the gates allow.  The
             # watermark is whatever the log holds *now* — the
-            # round-decoupled freshness that defines this mode.
+            # round-decoupled freshness a budget K > 0 buys.
             for w in range(n_workers):
                 while (
                     dispatched[w] < n_rounds
@@ -1660,13 +1346,16 @@ def _run_sharded_staleness(
                 done_sems[blocker],
                 timeout=barrier_timeout,
                 liveness=workers_alive,
-                what=(
-                    f"round {frontier} outputs (worker {blocker}, "
-                    f"staleness={staleness_rounds})"
-                ),
+                what=f"round {frontier} outputs (worker {blocker})",
             )
-            consume_wait_s += time.perf_counter() - wait_started
+            barrier_wait_s[frontier].append(
+                time.perf_counter() - wait_started
+            )
             stash_round(blocker)
+
+        merge_started = time.perf_counter()
+        _fill_host_base(knowledge, log, vocab_words)
+        merge_s += time.perf_counter() - merge_started
 
         per_service: dict[int, CampaignResult] = {}
         events_by_member: dict[int, list[dict]] = {}
@@ -1675,27 +1364,23 @@ def _run_sharded_staleness(
         worker_marks: dict[int, list[int]] = {}
         for conn in connections:
             conn.send(("finish",))
-        for worker_id, conn in enumerate(connections):
-            payload = _recv(conn)
+        for worker_id, (process, conn) in enumerate(
+            zip(processes, connections)
+        ):
+            payload = _recv(conn, worker_id, process)
             per_service.update(payload["results"])
-            events_by_member.update(payload.get("events") or {})
-            dispatch_wait_s.append(
-                float(payload["perf"]["dispatch_wait_s"])
-            )
-            ledger = payload["perf"].get("staleness") or {}
-            worker_lags[worker_id] = [
-                int(v) for v in ledger.get("round_lag", [])
-            ]
-            worker_marks[worker_id] = [
-                int(v) for v in ledger.get("watermark", [])
-            ]
+            events_by_member.update(payload["events"])
+            perf = payload["perf"]
+            dispatch_wait_s.append(float(perf["dispatch_wait_s"]))
+            worker_lags[worker_id] = perf["round_lag"]
+            worker_marks[worker_id] = perf["watermark"]
         all_lags = [lag for lags in worker_lags.values() for lag in lags]
         return (
             [per_service[i] for i in range(n_services)],
             absorbed_total,
             events_by_member,
             {
-                "barrier_wait_s": [],
+                "barrier_wait_s": barrier_wait_s,
                 "dispatch_wait_s": dispatch_wait_s,
                 "merge_s": merge_s,
                 "staleness": {
@@ -1707,7 +1392,6 @@ def _run_sharded_staleness(
                     "lag_mean": (
                         sum(all_lags) / len(all_lags) if all_lags else 0.0
                     ),
-                    "consume_wait_s": consume_wait_s,
                 },
             },
         )
@@ -1736,7 +1420,7 @@ def format_fleet(result: FleetResult) -> str:
             f"sharing={'on' if result.share_knowledge else 'off'}"
             + (
                 f", staleness={result.staleness_rounds}"
-                if result.staleness_rounds is not None
+                if result.staleness_rounds != 0
                 else ""
             )
             + ")"

@@ -6,13 +6,16 @@ made knowledge exchange cost as much as the simulation it coordinates.
 This module replaces that with three kinds of shared-memory segments;
 after a one-time handshake the Pipe carries no per-round traffic at
 all — workers and the coordinator synchronize exclusively through
-versioned counters in shared memory:
+semaphores, with versioned counters in shared memory as checks:
 
-``ControlSegment`` (coordinator → workers)
-    Per-round load-balancer targets and the knowledge-log watermark,
-    double-buffered by round parity.  A worker can lag at most one
-    publication behind (the coordinator needs every worker's previous
-    round before it can rebalance), so two buffers are exactly enough.
+``StalenessControlSegment`` (coordinator → one worker)
+    A per-worker ring of dispatch records ``(round, watermark, merge
+    frontier, lb targets)``, written immediately before the worker's
+    dispatch release.  The watermark is whatever the coordinator has
+    merged *by dispatch time* — decoupled from the round counter —
+    which is what lets a staleness budget ``K > 0`` dispatch workers
+    ahead of the merge; at ``K = 0`` it is the round barrier's
+    watermark.
 
 ``KnowledgeLogSegment`` (coordinator writes, workers read)
     The fleet's append-only knowledge log, laid out ragged: a flat
@@ -25,23 +28,13 @@ versioned counters in shared memory:
     reads are zero-copy views.
 
 ``WorkerOutSegment`` (one per worker, coordinator reads)
-    Ring-buffered round output (two slots in barrier mode — the
-    classic double buffer): per-member downtime fractions and absorb
+    Ring-buffered round output, sized from the staleness budget by
+    :func:`ring_slots_for`: per-member downtime fractions and absorb
     counts, plus the round's learned (symptoms, fix) pairs in the same
-    ragged layout.  The ring lets the coordinator finish merging round
-    R's contributions while workers are already computing later rounds
-    into other slots; a ``consumed`` counter written back by the
-    coordinator arms an overwrite guard, so a slot is provably never
-    rewritten before its round has been read.
-
-``StalenessControlSegment`` (coordinator → one worker)
-    The bounded-staleness replacement for the global double-buffered
-    control block: a per-worker ring of dispatch records ``(round,
-    watermark, merge frontier, lb targets)``, written immediately
-    before the worker's dispatch release.  The watermark is whatever
-    the coordinator has merged *by dispatch time* — decoupled from the
-    round counter — which is what lets workers absorb the freshest
-    published knowledge instead of blocking on a global barrier.
+    ragged layout.  The ring lets a worker run ahead of the merge
+    frontier into other slots; a ``consumed`` counter written back by
+    the coordinator arms an overwrite guard, so a slot is provably
+    never rewritten before its round has been read.
 
 Segments carry *data*; round synchronization rides a pair of
 ``multiprocessing.Semaphore`` lines per worker (dispatch and done).
@@ -70,7 +63,6 @@ from multiprocessing import shared_memory
 import numpy as np
 
 __all__ = [
-    "ControlSegment",
     "KnowledgeLogSegment",
     "StalenessControlSegment",
     "Vocab",
@@ -249,67 +241,6 @@ class _Segment:
             pass
 
 
-class ControlSegment(_Segment):
-    """Coordinator → workers round-dispatch control block.
-
-    Layout: ``[round_published, abort] | watermark[2] |
-    lb_targets[2][n_services]`` — the watermark and targets are
-    double-buffered by round parity.  Publication is *signaled* by the
-    per-worker dispatch semaphore, whose release fences all of these
-    stores; ``round_published`` is a sanity counter the readers assert
-    against, not a synchronization point.  The parity slot for round R
-    is only rewritten when round R+2 is published, which the barrier
-    discipline forbids until every worker has finished R — so a
-    dispatched slot is stable for as long as any worker can read it.
-    """
-
-    HEADER = 2
-
-    def __init__(
-        self, n_services: int, *, name: str | None = None
-    ) -> None:
-        total = (self.HEADER + 2) * _I64.itemsize + (
-            2 * n_services
-        ) * _F64.itemsize
-        super().__init__(total, name, create=name is None)
-        self._header = self._carve(self.HEADER, _I64)
-        self._watermarks = self._carve(2, _I64)
-        self._targets = self._carve(2 * n_services, _F64).reshape(
-            2, n_services
-        )
-        if self.owner:
-            self._header[:] = 0
-            self._watermarks[:] = 0
-            self._targets[:] = 1.0
-
-    def publish_round(
-        self, round_index: int, watermark: int, lb_targets
-    ) -> None:
-        parity = round_index % 2
-        self._targets[parity, :] = lb_targets
-        self._watermarks[parity] = watermark
-        self._header[0] = round_index + 1
-
-    def round_published(self) -> int:
-        return int(self._header[0])
-
-    def read_round(self, round_index: int) -> tuple[int, np.ndarray]:
-        """The (watermark, lb targets) published for one round.
-
-        Targets come back as a detached copy — the row is tiny, and a
-        lingering view would keep the segment's buffer pinned past
-        teardown.
-        """
-        parity = round_index % 2
-        return int(self._watermarks[parity]), self._targets[parity].copy()
-
-    def abort(self) -> None:
-        self._header[1] = 1
-
-    def aborted(self) -> bool:
-        return bool(self._header[1])
-
-
 #: Ring depth used for an unbounded (``K = inf``) staleness budget.
 #: The knowledge bound never applies, so the ring only provides
 #: backpressure against the coordinator's consumption pace.
@@ -331,23 +262,23 @@ def ring_slots_for(staleness_rounds: int | float) -> int:
 
 
 class StalenessControlSegment(_Segment):
-    """Per-worker dispatch ring for the bounded-staleness executor.
+    """Per-worker dispatch ring of the sharded fleet executor.
 
     Layout: ``[abort] | records[n_slots][3] | targets[n_slots][n_services]``
     where a record is ``(round, watermark, merge_frontier)``.  The
     coordinator fills slot ``round % n_slots`` immediately before
     releasing that worker's dispatch semaphore — the release fences
-    the stores, exactly the barrier-mode discipline.  The slot for
-    round R is only rewritten when round ``R + n_slots`` is
-    dispatched, and the dispatch gate (``dispatched - consumed <
-    n_slots``) guarantees the worker has long since read R by then.
+    the stores.  The slot for round R is only rewritten when round
+    ``R + n_slots`` is dispatched, and the dispatch gate
+    (``dispatched - consumed < n_slots``) guarantees the worker has
+    long since read R by then.
 
-    Unlike the barrier-mode :class:`ControlSegment`, the watermark in
-    a record is *not* a function of the round number: it is whatever
-    the shared knowledge log held when the dispatch was issued.  With
-    ``K = 0`` the dispatch is only issued once every prior round is
-    merged, so the record degenerates to the barrier watermark —
-    that's the bit-exactness argument's transport half.
+    The watermark in a record is *not* a function of the round
+    number: it is whatever the shared knowledge log held when the
+    dispatch was issued.  With ``K = 0`` the dispatch is only issued
+    once every prior round is merged, so the record carries the round
+    barrier's watermark — the transport half of the argument that any
+    worker count reproduces the serial runner.
     """
 
     HEADER = 1
@@ -538,11 +469,9 @@ class WorkerOutSegment(_Segment):
     ``R % n_slots``; the worker fills it and then releases its done
     semaphore, which fences the stores for the coordinator's read.
 
-    Barrier mode uses the historical two slots (the classic double
-    buffer: coordinator merges round R while workers compute R+1);
-    the bounded-staleness executor sizes the ring from the staleness
-    budget via :func:`ring_slots_for` so a worker can run up to K
-    rounds ahead of the merge frontier.
+    The executor sizes the ring from the staleness budget via
+    :func:`ring_slots_for` so a worker can run up to K rounds ahead of
+    the merge frontier.
 
     Two counters live in the header.  ``rounds_completed`` (worker →
     coordinator) is a sanity counter, not a fence.  ``consumed``
@@ -672,10 +601,9 @@ class WorkerOutSegment(_Segment):
     def read_round(self, round_index: int) -> dict:
         """Zero-copy views of one published round's output.
 
-        Valid until the worker starts round ``round_index + n_slots``
-        — the ring window the coordinator's overlapped merge relies
-        on.  Callers that hold the data past :meth:`mark_consumed`
-        must copy first (the staleness executor's stash does).
+        Valid until the worker starts round ``round_index + n_slots``.
+        Callers that hold the data past :meth:`mark_consumed` must
+        copy first (the executor's stash does).
         """
         buffer = self._buffers[round_index % self.n_slots]
         n = int(buffer["counts"].sum())

@@ -257,7 +257,7 @@ class TestFleetCampaign:
 
     def test_multi_slot_rounds_match_across_workers(self):
         """episodes_per_round > 1 batches slots between barriers; the
-        double-buffered transport must stay equivalent to serial."""
+        ring-buffered transport must stay equivalent to serial."""
         serial = run_fleet_campaign(
             n_services=3,
             episodes_per_service=4,

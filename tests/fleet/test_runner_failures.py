@@ -1,10 +1,12 @@
-"""The sharded fleet runner survives a failing member.
+"""The sharded fleet runner survives its own faults.
 
-A member that raises, in its constructor or in any round, must end the
-campaign promptly with the worker's error, for both sharded executors:
-no surviving worker left running, no shared-memory segment left behind.
+A member that raises (in its constructor or in any round), a worker
+that is SIGKILLed, and a worker that stalls past ``barrier_timeout``
+must each end the campaign promptly with an error that names the
+cause: no surviving worker left running, no shared-memory segment
+left behind.
 
-The failures are injected by monkeypatching module globals of
+The faults are injected by monkeypatching module globals of
 :mod:`repro.fleet.campaign`, which reaches the workers only when they
 are forked from this process.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -27,65 +30,103 @@ pytestmark = pytest.mark.skipif(
 
 INJECTED = "injected member failure"
 SHM_DIR = "/dev/shm"
+EPISODES = 2  # one round per episode slot
 
 
 def _shm_entries() -> set[str]:
     return set(os.listdir(SHM_DIR)) if os.path.isdir(SHM_DIR) else set()
 
 
-def _fail_member_round(monkeypatch, fail_at: int) -> None:
-    """Member 1 raises in its ``fail_at``-th round."""
-    original = fleet_campaign._member_round
+def _raise() -> None:
+    raise ValueError(INJECTED)
+
+
+def _sigkill() -> None:
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _stall() -> None:
+    time.sleep(60)
+
+
+def _inject(monkeypatch, failure: str, fault) -> None:
+    """Member 1 (owned by worker 1) runs ``fault`` at ``failure``.
+
+    ``failure`` is ``"construct"`` (building the member), or
+    ``"first_round"`` / ``"last_round"`` (before that round runs).
+    """
+    if failure == "construct":
+        original_member = fleet_campaign.FleetMember
+
+        def build_member(index, **kwargs):
+            if index == 1:
+                fault()
+            return original_member(index=index, **kwargs)
+
+        monkeypatch.setattr(fleet_campaign, "FleetMember", build_member)
+        return
+    fail_at = 0 if failure == "first_round" else EPISODES - 1
+    original_round = fleet_campaign._member_round
     rounds = {"seen": 0}
 
     def member_round(member, *args):
         if member.index == 1:
             if rounds["seen"] == fail_at:
-                raise ValueError(INJECTED)
+                fault()
             rounds["seen"] += 1
-        return original(member, *args)
+        return original_round(member, *args)
 
     monkeypatch.setattr(fleet_campaign, "_member_round", member_round)
 
 
-def _fail_member_construction(monkeypatch) -> None:
-    """Building member 1 raises."""
-    original = fleet_campaign.FleetMember
+def _expect_prompt_teardown(exception, match: str, **kwargs):
+    """Run a failing 2-worker campaign; return the error it raised."""
+    shm_before = _shm_entries()
+    started = time.perf_counter()
+    with pytest.raises(exception, match=match) as excinfo:
+        run_fleet_campaign(
+            n_services=2,
+            episodes_per_service=EPISODES,
+            seed=3,
+            workers=2,
+            **kwargs,
+        )
+    elapsed = time.perf_counter() - started
+    assert elapsed < 10.0, f"teardown took {elapsed:.1f}s"
+    assert _shm_entries() - shm_before == set()
+    assert multiprocessing.active_children() == []
+    return excinfo.value
 
-    def build_member(index, **kwargs):
-        if index == 1:
-            raise ValueError(INJECTED)
-        return original(index=index, **kwargs)
 
-    monkeypatch.setattr(fleet_campaign, "FleetMember", build_member)
-
-
+# K=2 dispatches both rounds up front, so the surviving worker is
+# blocked in the finish handshake rather than on its next dispatch.
 @pytest.mark.parametrize(
-    "staleness_rounds", [None, 0], ids=["barrier", "staleness0"]
+    "staleness_rounds", [0, 2], ids=["staleness0", "staleness2"]
 )
 @pytest.mark.parametrize("failure", ["construct", "first_round", "last_round"])
 def test_failing_member_tears_down_promptly(
     monkeypatch, failure, staleness_rounds
 ):
-    episodes = 2  # one round per episode slot
-    if failure == "construct":
-        _fail_member_construction(monkeypatch)
-    else:
-        _fail_member_round(
-            monkeypatch, 0 if failure == "first_round" else episodes - 1
-        )
-    shm_before = _shm_entries()
-    started = time.perf_counter()
-    with pytest.raises(RuntimeError, match="fleet worker failed") as excinfo:
-        run_fleet_campaign(
-            n_services=2,
-            episodes_per_service=episodes,
-            seed=3,
-            workers=2,
-            staleness_rounds=staleness_rounds,
-        )
-    elapsed = time.perf_counter() - started
-    assert INJECTED in str(excinfo.value)
-    assert elapsed < 10.0, f"teardown took {elapsed:.1f}s"
-    assert _shm_entries() - shm_before == set()
-    assert multiprocessing.active_children() == []
+    _inject(monkeypatch, failure, _raise)
+    error = _expect_prompt_teardown(
+        RuntimeError,
+        "fleet worker failed",
+        staleness_rounds=staleness_rounds,
+    )
+    assert INJECTED in str(error)
+
+
+@pytest.mark.parametrize("failure", ["construct", "first_round", "last_round"])
+def test_killed_worker_tears_down_promptly(monkeypatch, failure):
+    _inject(monkeypatch, failure, _sigkill)
+    error = _expect_prompt_teardown(RuntimeError, "died")
+    assert "fleet worker 1 " in str(error)
+    assert "-9" in str(error)
+
+
+def test_stalled_worker_times_out_promptly(monkeypatch):
+    _inject(monkeypatch, "first_round", _stall)
+    error = _expect_prompt_teardown(
+        TimeoutError, "round 0", barrier_timeout=2.0
+    )
+    assert "worker 1" in str(error)

@@ -120,6 +120,7 @@ class TestObserveOnly:
         knowledge counters, watermark lag) must not depend on worker
         count; only the wall-clock timings may differ."""
         deterministic = {}
+        barrier_wait_s = {}
         for workers in (1, 2):
             transport = run_fleet_campaign(
                 n_services=4,
@@ -132,4 +133,10 @@ class TestObserveOnly:
                 transport["knowledge"],
                 transport["watermark_lag"],
             )
+            barrier_wait_s[workers] = transport["barrier_wait_s"]
         assert deterministic[1] == deterministic[2]
+        # The sharded coordinator books its blocking waits per round.
+        rounds = deterministic[2][0]
+        assert rounds > 0
+        assert len(barrier_wait_s[2]) == rounds
+        assert all(isinstance(waits, list) for waits in barrier_wait_s[2])
