@@ -20,7 +20,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    install_requires=["numpy", "networkx", "scipy", "orjson"],
     entry_points={
         "console_scripts": [
             "repro = repro.cli:main",
