@@ -26,20 +26,12 @@ absorbed, and the per-round knowledge watermark lag.  Wall-clock
 transport timings live *only* here — the flight-recorder event log is
 tick-clock-deterministic and never carries them.
 
-Schema ``repro-perf/6`` adds the bounded-staleness exchange: a
-``staleness`` section sweeps K in {0, 1, 4, inf}, timing each budget
-through the free-running sharded executor (``parallel_speedup``,
-observed lag ledger) and grading its healing cost on the
-deterministic serial-delayed arm (detection latency, repair success,
-post-heal SLO re-breaches, knowledge absorbed — plus explicit deltas
-against the K=0 row, the round barrier).  Fleet sweep points also
-record ``effective_workers = min(workers, cpu_count)`` and
+Schema ``repro-perf/6`` makes fleet sweep points record
+``effective_workers = min(workers, cpu_count)`` and
 ``scaling_efficiency_effective``: the historical
 ``scaling_efficiency`` divides by *requested* workers, which on a box
 with fewer cores necessarily floors near ``1/workers`` — the
-oversubscribed flag marks those points.  ``--check-equivalence`` now
-also pins bounded staleness: K>0 must complete within its lag budget
-without regressing missed detections.
+oversubscribed flag marks those points.
 
 Schema ``repro-perf/7`` removes what schemas 4 and 5 added for the
 columnar fleet engine and the fused monitoring plane, both deleted
@@ -49,12 +41,14 @@ every fleet sweep point.  ``--check-equivalence`` and ``--golden``
 lost their engine axis with them.
 
 Schema ``repro-perf/8`` follows the fleet down to one sharded
-executor, whose default ``staleness_rounds=0`` is the round barrier.
-A transport block's ``barrier_wait_s`` lists, per round, the
-coordinator's blocking waits on that round; staleness points report
-its sum under the same name.  ``--check-equivalence`` checks the
-zero-lag ledger on the sharded runs themselves instead of re-running
-them at an explicit K=0.
+executor.  A transport block's ``barrier_wait_s`` lists, per round,
+the coordinator's blocking waits on that round.
+
+Schema ``repro-perf/9`` drops the ``staleness`` section with the
+bounded-staleness exchange it timed (see docs/performance.md).  The
+sharded executor is a plain round barrier, so ``barrier_wait_s``
+lists each round's wait on every worker, in worker order, and
+``--check-equivalence`` compares fingerprints only.
 
 The workloads are fixed-seed campaigns (the same shapes the
 golden-stats equivalence tests pin down), so successive runs measure
@@ -76,7 +70,6 @@ import time
 
 __all__ = [
     "check_fleet_equivalence",
-    "check_staleness_divergence",
     "main",
     "replay_golden",
     "run_perf_suite",
@@ -140,7 +133,6 @@ def _time_fleet(
     seed: int,
     workers: int,
     repeats: int,
-    staleness_rounds: int | float = 0,
 ) -> dict:
     """Best-of-``repeats`` ticks/sec for one fleet configuration."""
     from repro.fleet.campaign import run_fleet_campaign
@@ -152,7 +144,6 @@ def _time_fleet(
             episodes_per_service=episodes,
             seed=seed,
             workers=workers,
-            staleness_rounds=staleness_rounds,
         )
         runs.append(
             (result.pooled.total_ticks, result.wall_clock_s, result.transport)
@@ -259,138 +250,6 @@ def _bench_fleet(
     }
 
 
-def _staleness_quality(
-    n_services: int, episodes: int, seed: int, budget: int | float
-) -> dict:
-    """Healing-quality panel for one staleness budget.
-
-    Runs the *deterministic* serial-delayed arm (workers=1) with SLO
-    tracking, so every number is a pure function of the seed and the
-    budget — the ablation the docs table and the CI bounded-divergence
-    check both read.
-    """
-    import math as _math
-
-    from repro.fleet.campaign import run_fleet_campaign
-
-    result = run_fleet_campaign(
-        n_services=n_services,
-        episodes_per_service=episodes,
-        seed=seed,
-        workers=1,
-        staleness_rounds=budget,
-        track_slo=True,
-    )
-    reports = result.pooled.reports
-    healed = sum(1 for r in reports if r.successful_fix is not None)
-    detection = result.mean_detection_ticks()
-    return {
-        "episodes": len(reports),
-        "undetected": result.undetected,
-        "mean_detection_ticks": (
-            round(detection, 2) if _math.isfinite(detection) else None
-        ),
-        "repair_success_rate": (
-            round(healed / len(reports), 3) if reports else None
-        ),
-        "escalation_rate": round(result.escalation_rate, 3),
-        "slo_breach_after_heal": result.slo_breaches_after_heal,
-        "knowledge_absorbed": result.knowledge_absorbed,
-    }
-
-
-def _bench_staleness(quick: bool, repeats: int) -> dict:
-    """Bounded-staleness sweep: K in {0, 1, 4, inf}.
-
-    Two arms per budget:
-
-    * a timed *sharded* run (``workers = min(n_services, 4)``) through
-      the sharded executor, recording ticks/sec, ``parallel_speedup``
-      against the serial K=0 reference, the observed lag ledger
-      (opportunistic freshness: on a loaded or small box the real lag
-      sits well under K), and the coordinator's summed blocking waits;
-    * a deterministic serial-delayed *quality* arm
-      (:func:`_staleness_quality`) grading what the staleness actually
-      costs the healing loop — detection latency, repair success,
-      post-heal SLO re-breaches, knowledge absorbed.
-
-    ``healing_deltas`` reports each budget's quality drift against the
-    K=0 row, the round barrier.
-    """
-    n_services = 4
-    episodes = 2 if quick else 4
-    seed = 3
-    workers = min(n_services, 4)
-    serial = _time_fleet(n_services, episodes, seed, 1, repeats)
-    budgets: tuple[int | float, ...] = (0, 1, 4, float("inf"))
-    points = []
-    baseline_quality: dict | None = None
-    for budget in budgets:
-        label = "inf" if budget == float("inf") else int(budget)
-        timed = _time_fleet(
-            n_services,
-            episodes,
-            seed,
-            workers,
-            repeats,
-            staleness_rounds=budget,
-        )
-        quality = _staleness_quality(n_services, episodes, seed, budget)
-        if baseline_quality is None:
-            baseline_quality = quality
-        transport = timed["transport"]
-        ledger = transport["staleness"]
-        deltas = {}
-        for key in (
-            "undetected",
-            "mean_detection_ticks",
-            "repair_success_rate",
-            "slo_breach_after_heal",
-            "knowledge_absorbed",
-        ):
-            ours, base = quality.get(key), baseline_quality.get(key)
-            deltas[key] = (
-                round(ours - base, 3)
-                if ours is not None and base is not None
-                else None
-            )
-        point = {
-            "staleness_rounds": label,
-            "workers": workers,
-            "ticks_per_sec": timed["ticks_per_sec"],
-            "parallel_speedup": round(
-                timed["ticks_per_sec"] / serial["ticks_per_sec"], 2
-            ),
-            "ring_slots": ledger.get("ring_slots"),
-            "observed_lag_max": ledger.get("lag_max"),
-            "observed_lag_mean": ledger.get("lag_mean"),
-            "barrier_wait_s": round(
-                sum(sum(waits) for waits in transport["barrier_wait_s"]), 6
-            ),
-            "quality": quality,
-            "healing_deltas_vs_k0": deltas,
-        }
-        points.append(point)
-        print(
-            f"  staleness K={label:<4} workers={workers} "
-            f"{point['ticks_per_sec']:>9.1f} ticks/s  "
-            f"(speedup {point['parallel_speedup']:.2f}x, "
-            f"lag max {point['observed_lag_max']}, "
-            f"undetected {quality['undetected']}, "
-            f"slo re-breaches {quality['slo_breach_after_heal']})"
-        )
-    return {
-        "seed": seed,
-        "n_services": n_services,
-        "episodes_per_service": episodes,
-        "workers": workers,
-        "serial_ticks_per_sec": serial["ticks_per_sec"],
-        "points": points,
-        # Suite-level summary line convention.
-        "ticks_per_sec": points[0]["ticks_per_sec"],
-    }
-
-
 def _bench_replay(quick: bool, repeats: int) -> dict:
     """Ticks/sec of replaying a recorded scenario telemetry trace."""
     from repro.scenarios.runner import replay_campaign, run_scenario
@@ -436,7 +295,6 @@ def run_perf_suite(
     for name, bench in (
         ("single_service", _bench_single_service),
         ("fleet", lambda q, r: _bench_fleet(q, r, services)),
-        ("staleness", _bench_staleness),
         ("scenario_replay", _bench_replay),
     ):
         started = time.perf_counter()
@@ -446,7 +304,7 @@ def run_perf_suite(
             f"({time.perf_counter() - started:.1f}s measured)"
         )
     return {
-        "schema": "repro-perf/8",
+        "schema": "repro-perf/9",
         "quick": quick,
         "repeats": repeats,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -472,8 +330,7 @@ def check_fleet_equivalence(
     counters.  Prints a verdict per configuration; returns True when
     everything matched.  This is the CI regression smoke for the
     shared-memory transport: any encoding bug that perturbs the
-    aggregate statistics fails it immediately.  Every run is at the
-    default ``staleness_rounds=0``, so each must also ledger zero lag.
+    aggregate statistics fails it immediately.
     """
     from repro.fleet.campaign import run_fleet_campaign
     from repro.scenarios.corpus import _canonical_target
@@ -526,86 +383,14 @@ def check_fleet_equivalence(
     )
     ok = True
     for workers in worker_counts:
-        result = run_fleet_campaign(workers=workers, **shape)
-        matched = fingerprint(result) == serial
-        ledger = result.transport["staleness"]
-        lag_zero = ledger["lag_max"] == 0
-        ok = ok and matched and lag_zero
+        matched = (
+            fingerprint(run_fleet_campaign(workers=workers, **shape))
+            == serial
+        )
+        ok = ok and matched
         print(
             f"fleet equivalence workers={workers} vs serial "
             f"{shape_label}: {'identical' if matched else 'MISMATCH'}"
-            + ("" if lag_zero else f" NONZERO LAG ({ledger})")
-        )
-    return ok
-
-
-def check_staleness_divergence(
-    n_services: int = 4,
-    episodes_per_service: int = 2,
-    seed: int = 23,
-    workers: int = 2,
-    budgets: tuple[int | float, ...] = (1, 4, float("inf")),
-) -> bool:
-    """Bounded-divergence gate for K>0 staleness budgets.
-
-    K>0 runs are *allowed* to drift from the barrier statistics — the
-    whole point of the ablation — but the drift must stay bounded and
-    benign:
-
-    * the deterministic serial-delayed arm at each budget completes
-      the full campaign and never regresses missed detections against
-      K=0 (detection is synopsis-independent, so staleness may slow
-      *repair*, never *detection*);
-    * a real free-running sharded run at each finite budget completes
-      with every observed per-round lag within the budget (ring and
-      dispatch gates actually bound the staleness they promise).
-    """
-    from repro.fleet.campaign import run_fleet_campaign
-
-    shape = dict(
-        n_services=n_services,
-        episodes_per_service=episodes_per_service,
-        seed=seed,
-    )
-    reference = run_fleet_campaign(workers=1, **shape)
-    expected_rounds = reference.transport["rounds"]
-    ok = True
-    for budget in budgets:
-        label = "inf" if budget == float("inf") else int(budget)
-        delayed = run_fleet_campaign(
-            workers=1, staleness_rounds=budget, **shape
-        )
-        complete = (
-            delayed.transport["rounds"] == expected_rounds
-            and delayed.injected == reference.injected
-        )
-        detection_ok = delayed.undetected <= reference.undetected
-        ok = ok and complete and detection_ok
-        print(
-            f"staleness divergence K={label} serial-delayed: "
-            f"undetected {delayed.undetected} "
-            f"(K=0 {reference.undetected}), "
-            f"absorbed {delayed.knowledge_absorbed} "
-            f"(K=0 {reference.knowledge_absorbed}): "
-            + (
-                "bounded"
-                if complete and detection_ok
-                else "REGRESSION"
-            )
-        )
-        sharded = run_fleet_campaign(
-            workers=workers, staleness_rounds=budget, **shape
-        )
-        lag_max = sharded.transport["staleness"]["lag_max"]
-        within = (
-            budget == float("inf") or lag_max <= budget
-        ) and sharded.injected == reference.injected
-        ok = ok and within
-        print(
-            f"staleness divergence K={label} sharded "
-            f"(workers={workers}): lag max {lag_max}, "
-            f"budget {label}: "
-            + ("within budget" if within else "BUDGET VIOLATED")
         )
     return ok
 
@@ -764,13 +549,6 @@ def main(argv: list[str] | None = None) -> int:
         ok = check_fleet_equivalence(
             n_services=max(4, max(worker_counts)),
             worker_counts=worker_counts,
-        )
-        ok = (
-            check_staleness_divergence(
-                n_services=max(4, max(worker_counts)),
-                workers=min(worker_counts),
-            )
-            and ok
         )
         if args.golden is not None:
             ok = replay_golden(args.golden) and ok

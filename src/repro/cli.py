@@ -207,7 +207,11 @@ def _run_fleet(args: argparse.Namespace) -> str:
     import contextlib
     import tempfile
 
-    from repro.fleet.campaign import format_fleet, run_fleet_campaign
+    from repro.fleet.campaign import (
+        FleetWorkerError,
+        format_fleet,
+        run_fleet_campaign,
+    )
 
     # --profile on a sharded fleet must profile the *workers*: the
     # coordinator only merges rounds, so its own cProfile (the
@@ -224,42 +228,29 @@ def _run_fleet(args: argparse.Namespace) -> str:
         from repro.scenarios.packs import get_scenario
 
         scenario = _resolve(get_scenario, scenario)
-    # Input errors (a non-integer budget) exit 2 like every other
-    # malformed CLI value; run_fleet_campaign revalidates range.
-    if args.staleness.strip().lower() in ("inf", "infinity"):
-        staleness = float("inf")
-    else:
-        def parse_budget(raw):
-            try:
-                return int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"--staleness must be an integer or 'inf', "
-                    f"got {raw!r}"
-                ) from None
-
-        staleness = _resolve(parse_budget, args.staleness)
     with contextlib.ExitStack() as stack:
         profile_dir = (
             stack.enter_context(tempfile.TemporaryDirectory())
             if profile_workers
             else None
         )
-        result = run_fleet_campaign(
-            n_services=args.services,
-            episodes_per_service=args.episodes,
-            seed=args.seed,
-            workers=args.workers,
-            share_knowledge=not args.no_share,
-            p_correlated=args.p_correlated,
-            p_cascade=args.p_cascade,
-            spill_fraction=args.spill,
-            scenario=scenario,
-            record_path=args.record,
-            profile_dir=profile_dir,
-            events_path=args.events,
-            staleness_rounds=staleness,
-        )
+        try:
+            result = run_fleet_campaign(
+                n_services=args.services,
+                episodes_per_service=args.episodes,
+                seed=args.seed,
+                workers=args.workers,
+                share_knowledge=not args.no_share,
+                p_correlated=args.p_correlated,
+                p_cascade=args.p_cascade,
+                spill_fraction=args.spill,
+                scenario=scenario,
+                record_path=args.record,
+                profile_dir=profile_dir,
+                events_path=args.events,
+            )
+        except (FleetWorkerError, TimeoutError) as exc:
+            raise RunnerFailed(str(exc)) from exc
         report = format_fleet(result)
         if result.trace_path is not None:
             report += (
@@ -313,9 +304,21 @@ class CliInputError(Exception):
     """Bad command-line input: unknown name, unreadable/malformed file.
 
     ``main`` prints the message as a clean ``error:`` diagnostic on
-    stderr and exits 2.  Only *input resolution* raises this — errors
+    stderr and exits 2.  Only *input resolution* raises this.  Errors
     from inside a running campaign propagate as tracebacks, so real
-    engine regressions stay diagnosable in CI logs.
+    engine regressions stay diagnosable in CI logs; the one exception
+    is a failure of the sharded fleet runner itself
+    (:class:`RunnerFailed`, exit 1).
+    """
+
+
+class RunnerFailed(Exception):
+    """The sharded fleet runner failed: a worker died, raised or stalled.
+
+    ``main`` prints the message as an ``error:`` line on stderr and
+    exits 1.  A worker's own error keeps its traceback inside the
+    message; a member that raises in the in-process runner is not
+    caught and stays a traceback.
     """
 
 
@@ -692,14 +695,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="record the flight-recorder event log (JSONL) here",
     )
-    fleet.add_argument(
-        "--staleness",
-        default="0",
-        metavar="K",
-        help="bounded-staleness knowledge exchange: absorb the shared "
-        "log up to K rounds late (an integer, or 'inf' for "
-        "unbounded; default: 0, the round barrier)",
-    )
 
     report = subparsers.add_parser("report", help=_COMMANDS["report"][1])
     report.add_argument("events", help="recorded event log (JSONL)")
@@ -958,6 +953,11 @@ def main(argv: list[str] | None = None) -> int:
         # deep inside a campaign must surface as a full traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RunnerFailed as exc:
+        # The campaign itself could not finish (a dead or stalled
+        # fleet worker): the runner's message, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"\n[{args.command} finished in "
           f"{time.perf_counter() - started:.0f}s]")
     return 0

@@ -19,6 +19,7 @@ the same machinery to a *fleet* of replicas:
 
 from repro.fleet.campaign import (
     FleetResult,
+    FleetWorkerError,
     aggregate_campaigns,
     run_fleet_campaign,
     weighted_mean,
@@ -36,6 +37,7 @@ __all__ = [
     "FleetMember",
     "FleetResult",
     "FleetRoundStats",
+    "FleetWorkerError",
     "KnowledgeEntry",
     "KnowledgeSharingApproach",
     "SharedKnowledgeBase",

@@ -27,16 +27,10 @@ per-round exchange rides the shared-memory segments in
 schedule at spawn, absorb fleet knowledge in-process against the
 append-only shared knowledge log ("entries published before round R"
 — the same barrier semantics the serial runner implements with
-cursors), and publish round output into per-worker rings the
-coordinator drains and merges in round order with vectorized
-stacked-array appends.
-
-``staleness_rounds=K`` bounds how stale that knowledge may be: the
-knowledge watermark decouples from the round counter, workers absorb
-the shared log up to K rounds late, and the coordinator dispatches up
-to K rounds ahead of its merge frontier.  The default ``K = 0`` is the
-round barrier itself.  See ``docs/performance.md`` ("Fleet
-transport") for the layout and the equivalence argument.
+cursors), and publish round output into per-worker blocks the
+coordinator merges in replica order with vectorized stacked-array
+appends.  See ``docs/performance.md`` ("Fleet transport") for the
+layout and the equivalence argument.
 """
 
 from __future__ import annotations
@@ -60,13 +54,12 @@ from repro.fleet.knowledge import KnowledgeEntry, SharedKnowledgeBase
 from repro.fleet.loadbalancer import FleetLoadBalancer
 from repro.fleet.member import FleetMember, FleetRoundStats
 from repro.fleet.transport import (
+    ControlSegment,
     KnowledgeLogSegment,
-    StalenessControlSegment,
     Vocab,
     WorkerOutSegment,
     acquire_with_liveness,
     pack_ragged,
-    ring_slots_for,
 )
 from repro.simulator.config import ServiceConfig
 
@@ -75,6 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "FleetResult",
+    "FleetWorkerError",
     "aggregate_campaigns",
     "format_fleet",
     "run_fleet_campaign",
@@ -131,12 +125,6 @@ class FleetResult:
         schedule: the fleet strike schedule that was executed.
         n_services / episodes_per_service / seed / workers /
         share_knowledge: the campaign shape, echoed for reports.
-        staleness_rounds: the bounded-staleness budget the campaign
-            ran with (``0`` = the round barrier, ``K`` = absorb up to
-            K rounds late, ``inf`` = unbounded).
-        slo_breaches_after_heal: verified heals whose SLO re-broke
-            within the post-heal window (``None`` unless the campaign
-            ran with ``track_slo=True``).
         knowledge_entries: signatures published to the shared base.
         knowledge_absorbed: foreign signatures merged into local
             synopses, summed over replicas.
@@ -162,8 +150,6 @@ class FleetResult:
     seed: int
     workers: int
     share_knowledge: bool
-    staleness_rounds: int | float = 0
-    slo_breaches_after_heal: int | None = None
     knowledge_entries: int = 0
     knowledge_absorbed: int = 0
     wall_clock_s: float = 0.0
@@ -244,22 +230,6 @@ def _transport_vocab() -> tuple[str, ...]:
     return tuple(dict.fromkeys((*ALL_FIX_KINDS, "healed", "admin")))
 
 
-def _normalize_staleness(staleness_rounds: int | float) -> int | float:
-    """Validate a staleness budget: a whole number >= 0, or inf."""
-    if staleness_rounds == float("inf"):
-        return float("inf")
-    try:
-        budget = int(staleness_rounds)
-    except (TypeError, ValueError, OverflowError):
-        budget = -1
-    if budget != staleness_rounds or budget < 0:
-        raise ValueError(
-            "staleness_rounds must be a non-negative integer or "
-            f"float('inf'), got {staleness_rounds!r}"
-        )
-    return budget
-
-
 def _member_round(
     member: FleetMember,
     faults: list,
@@ -331,7 +301,6 @@ def _fleet_worker(
     profile_path: str | None,
     dispatch_sem,
     done_sem,
-    ring_slots: int,
 ) -> None:
     """Persistent shard process owning a subset of replicas.
 
@@ -345,14 +314,11 @@ def _fleet_worker(
     semaphore pair (whose acquire/release ordering makes the segment
     reads safe on any architecture).
 
-    Dispatches arrive through the worker's own ``ring_slots``-deep
-    :class:`StalenessControlSegment`: each record carries the
-    watermark the coordinator had merged when it issued the dispatch,
-    plus its merge frontier, from which the worker ledgers its
-    observed round lag.  Knowledge absorption happens here, in the
-    worker, against the append-only shared log: member ``i`` absorbs
-    the foreign entries below the dispatch's watermark, exactly the
-    serial runner's cursor semantics.
+    Each round's dispatch record (:class:`ControlSegment`) carries the
+    watermark the coordinator had merged before the round.  Knowledge
+    absorption happens here, in the worker, against the append-only
+    shared log: member ``i`` absorbs the foreign entries below that
+    watermark, exactly the serial runner's cursor semantics.
     """
     control = log = out = None
     profiler = None
@@ -386,16 +352,12 @@ def _fleet_worker(
             out_entries,
             out_data,
         ) = message
-        control = StalenessControlSegment.attach(
-            control_name, ring_slots, n_services
-        )
+        control = ControlSegment.attach(control_name, n_services)
         log = KnowledgeLogSegment.attach(log_name, log_entries, log_data)
         out = WorkerOutSegment.attach(
-            out_name, len(order), out_entries, out_data, n_slots=ring_slots
+            out_name, len(order), out_entries, out_data
         )
         cursors = {i: 0 for i in order}
-        round_lags: list[int] = []
-        watermarks: list[int] = []
 
         def coordinator_alive() -> None:
             if control.aborted():
@@ -417,9 +379,7 @@ def _fleet_worker(
                 what=f"round {round_index} dispatch",
             )
             dispatch_wait_s += time.perf_counter() - wait_started
-            watermark, frontier, targets = control.read_dispatch(round_index)
-            round_lags.append(round_index - frontier)
-            watermarks.append(watermark)
+            watermark, targets = control.read_round(round_index)
             # Sanity, not synchronization: the dispatch semaphore
             # already fenced the log stores.
             if log.published < watermark:  # pragma: no cover - guard
@@ -485,11 +445,7 @@ def _fleet_worker(
                         for i in members
                         if members[i].telemetry is not None
                     },
-                    "perf": {
-                        "dispatch_wait_s": dispatch_wait_s,
-                        "round_lag": round_lags,
-                        "watermark": watermarks,
-                    },
+                    "dispatch_wait_s": dispatch_wait_s,
                 },
             )
         )
@@ -509,16 +465,25 @@ def _fleet_worker(
         conn.close()
 
 
+class FleetWorkerError(RuntimeError):
+    """A worker of the sharded runner died or relayed its own error.
+
+    A relayed error carries the worker's traceback in its message.  A
+    member that raises in the in-process runner raises its own
+    exception instead, so only runner failures have this type.
+    """
+
+
 def _worker_died(
     worker_id: int, process: multiprocessing.Process
-) -> RuntimeError:
+) -> FleetWorkerError:
     """The error for a worker that exited without relaying one.
 
     Its pipe is already at EOF, so the worker is dead and the join
     returns at once; joining first makes ``exitcode`` available.
     """
     process.join(timeout=5)
-    return RuntimeError(
+    return FleetWorkerError(
         f"fleet worker {worker_id} died without reporting an error "
         f"(exitcode {process.exitcode})"
     )
@@ -535,7 +500,7 @@ def _recv(conn, worker_id: int, process: multiprocessing.Process):
     except EOFError:
         raise _worker_died(worker_id, process) from None
     if status == "error":
-        raise RuntimeError(f"fleet worker failed:\n{payload}")
+        raise FleetWorkerError(f"fleet worker failed:\n{payload}")
     return payload
 
 
@@ -561,21 +526,25 @@ def _join(processes: list[multiprocessing.Process]) -> None:
             process.join()
 
 
-def _merge_round_reads(
+def _merge_round(
+    round_index: int,
     shards: list[list[int]],
-    reads: list[dict],
+    outs: list[WorkerOutSegment],
     n_services: int,
     balancer: FleetLoadBalancer,
     log: KnowledgeLogSegment,
     enabled: bool,
 ) -> tuple[list[float], list[float], int]:
-    """Merge one round's stashed per-worker output columns.
+    """Merge one round's per-worker output blocks, then release them.
 
     Rebalances on the round's downtime and appends its contributions
     to the shared log in replica order — the serial merge order, which
-    is what keeps the log bytes identical for any worker count.
+    is what keeps the log bytes identical for any worker count.  The
+    blocks are read zero-copy; scoping the views to this function
+    keeps them from pinning the shared buffers past teardown.
     Returns ``(lb targets, per-service downtime, absorbed delta)``.
     """
+    reads = [out.read_round(round_index) for out in outs]
     downtime = [0.0] * n_services
     absorbed = 0
     for shard, read in zip(shards, reads):
@@ -585,6 +554,8 @@ def _merge_round_reads(
     lb_targets = balancer.rebalance(downtime)
     if enabled and any(int(read["counts"].sum()) for read in reads):
         log.append_batch(*_regroup_contributions(shards, reads))
+    for out in outs:
+        out.mark_consumed(round_index)
     return lb_targets, downtime, absorbed
 
 
@@ -680,8 +651,6 @@ def run_fleet_campaign(
     events_path: str | None = None,
     profile_dir: str | None = None,
     barrier_timeout: float = 600.0,
-    staleness_rounds: int | float = 0,
-    track_slo: bool = False,
 ) -> FleetResult:
     """Run a correlated-fault campaign over a fleet of replicas.
 
@@ -726,27 +695,12 @@ def run_fleet_campaign(
         barrier_timeout: seconds the coordinator may wait on one
             worker's round before the campaign is declared hung
             (workers allow twice that for their next dispatch).
-        staleness_rounds: bounded-staleness knowledge exchange.  An
-            integer ``K`` lets every replica absorb the shared
-            knowledge log up to ``K`` rounds late: the sharded
-            executor decouples the knowledge watermark from the round
-            counter (workers read the freshest published watermark at
-            dispatch time, the coordinator free-runs as a consumer of
-            per-worker output rings), while the in-process runner
-            models the same budget deterministically by absorbing up
-            to the watermark recorded ``K`` rounds ago.  The default
-            ``K = 0`` is the round barrier: every round absorbs
-            everything merged before it.  ``float("inf")`` removes
-            the budget: sharded workers free-run against pure ring
-            backpressure; the serial model never absorbs (the
-            fully-stale limit).  The observed per-round lag ledger
-            lands in ``FleetResult.transport["staleness"]``.
-        track_slo: keep every member's per-tick SLO timeline and grade
-            each verified heal against the post-heal window
-            (``FleetResult.slo_breaches_after_heal`` — the staleness
-            ablation's healing-quality signal).  Requires the
-            in-process runner (``workers=1``): the timelines live with
-            the members and never cross the worker boundary.
+
+    Raises:
+        FleetWorkerError: a worker of the sharded runner died or
+            relayed an error.
+        TimeoutError: a worker of the sharded runner stalled past
+            ``barrier_timeout``.
     """
     if n_services < 1:
         raise ValueError(f"n_services must be >= 1, got {n_services}")
@@ -759,13 +713,6 @@ def run_fleet_campaign(
     if episodes_per_round < 1:
         raise ValueError(
             f"episodes_per_round must be >= 1, got {episodes_per_round}"
-        )
-    staleness = _normalize_staleness(staleness_rounds)
-    if track_slo and workers > 1 and n_services > 1:
-        raise ValueError(
-            "track_slo requires the in-process runner (workers=1): "
-            "SLO timelines live with the members and never cross the "
-            "worker process boundary"
         )
     started = time.perf_counter()
 
@@ -820,8 +767,6 @@ def run_fleet_campaign(
         threshold=threshold,
         include_invasive=include_invasive,
     )
-    if track_slo:
-        member_kwargs["track_slo"] = True
     if pack is not None:
         member_kwargs["scenario"] = pack
     if recorder is not None:
@@ -853,7 +798,6 @@ def run_fleet_campaign(
     merge_s = 0.0
     member_event_streams: list[list[dict]] = []
 
-    slo_breaches: int | None = None
     use_workers = workers > 1 and n_services > 1
     if use_workers:
         campaigns, absorbed_total, events_by_member, shard_perf = (
@@ -874,13 +818,11 @@ def run_fleet_campaign(
                 profile_dir=profile_dir,
                 hub=hub,
                 round_lags=round_lags,
-                staleness_rounds=staleness,
             )
         )
         barrier_wait_s = shard_perf["barrier_wait_s"]
         dispatch_wait_s = shard_perf["dispatch_wait_s"]
         merge_s = shard_perf["merge_s"]
-        staleness_ledger = shard_perf["staleness"]
         if hub is not None:
             member_event_streams = [
                 events_by_member[i] for i in range(n_services)
@@ -909,27 +851,15 @@ def run_fleet_campaign(
                 },
             )
         cursors = [0] * n_services
-        watermark_history: list[int] = []
-        serial_lag: list[int] = []
         for round_index in range(n_rounds):
             lo = round_index * episodes_per_round
             hi = min(lo + episodes_per_round, n_slots)
+            # Every member absorbs what was merged before the round.
             watermark = knowledge.n_entries
-            watermark_history.append(watermark)
-            # Bounded staleness (serial model): absorb only up to the
-            # watermark recorded ``K`` rounds ago — the deterministic
-            # worst case of the sharded executor's opportunistic
-            # freshness.  ``K = 0`` absorbs to the current watermark
-            # (the round barrier); ``inf`` never absorbs.
-            behind = round_index - staleness
-            absorb_watermark = (
-                watermark_history[behind] if behind >= 0 else 0
-            )
-            serial_lag.append(min(round_index, staleness))
             round_stats: list[FleetRoundStats] = []
             for i, member in enumerate(members):
                 external, cursors[i] = knowledge.updates_window(
-                    i, cursors[i], absorb_watermark
+                    i, cursors[i], watermark
                 )
                 round_stats.append(
                     _member_round(
@@ -965,24 +895,6 @@ def run_fleet_campaign(
                     downtime=downtime,
                 )
         campaigns = [member.result for member in members]
-        if track_slo:
-            # The corpus oracle's post-heal verdict, fleet-wide: clamp
-            # the grading window to the settle time so the next slot's
-            # injected fault never reads as a failed heal.
-            from repro.scenarios.corpus import POST_HEAL_WINDOW
-
-            window = min(POST_HEAL_WINDOW, settle_ticks)
-            slo_breaches = sum(
-                member.slo_breach_after_heal(window) for member in members
-            )
-        staleness_ledger = {
-            "mode": "serial-delayed",
-            "round_lag": serial_lag,
-            "lag_max": max(serial_lag) if serial_lag else 0,
-            "lag_mean": (
-                sum(serial_lag) / len(serial_lag) if serial_lag else 0.0
-            ),
-        }
         if hub is not None:
             member_event_streams = [
                 member.telemetry.events for member in members
@@ -994,21 +906,8 @@ def run_fleet_campaign(
             recorder.summary(i, campaign.injected, campaign.undetected)
         trace_sha = recorder.close()
 
-    staleness_repr = "inf" if staleness == float("inf") else staleness
-    staleness_ledger = {"rounds": staleness_repr, **staleness_ledger}
-
     events_sha = None
     if hub is not None:
-        if staleness != 0:
-            # K > 0 records its lag envelope in the log.  The K = 0
-            # barrier emits nothing extra: the committed event SHAs
-            # and corpus logs pin its bytes.
-            hub.emit(
-                "fleet_staleness",
-                rounds=staleness_repr,
-                lag_max=staleness_ledger["lag_max"],
-                lag_mean=staleness_ledger["lag_mean"],
-            )
         hub.emit(
             "fleet_end",
             rounds=n_rounds,
@@ -1053,9 +952,6 @@ def run_fleet_campaign(
         "barrier_wait_s": barrier_wait_s,
         "dispatch_wait_s": dispatch_wait_s,
         "merge_s": merge_s,
-        # Bounded-staleness ledger: budget, observed per-round lag,
-        # and — for the sharded executor — the ring depth.
-        "staleness": staleness_ledger,
     }
 
     return FleetResult(
@@ -1066,8 +962,6 @@ def run_fleet_campaign(
         seed=seed,
         workers=workers,
         share_knowledge=share_knowledge,
-        staleness_rounds=staleness,
-        slo_breaches_after_heal=slo_breaches,
         knowledge_entries=knowledge.n_entries,
         knowledge_absorbed=absorbed_total,
         wall_clock_s=time.perf_counter() - started,
@@ -1098,34 +992,23 @@ def _run_sharded(
     profile_dir: str | None,
     hub,
     round_lags: list[int],
-    staleness_rounds: int | float,
 ) -> tuple[list[CampaignResult], int, dict[int, list[dict]], dict]:
-    """The coordinator of the sharded executor: a free-running consumer.
+    """The coordinator of the sharded executor: a round barrier.
 
-    After a one-time handshake, dispatch and merge are decoupled:
+    After a one-time handshake, each round:
 
-    * each worker has its own dispatch ring
-      (:class:`StalenessControlSegment`); a dispatch carries the
-      round's balancer targets and the *freshest* merged watermark —
-      whatever the coordinator had merged when it issued the dispatch;
-    * dispatch is gated, per worker, by the staleness budget
-      (``next_round - merge_frontier <= K``) and the output ring
-      (``next_round - stashed < ring_slots``);
-    * the coordinator drains finished rounds opportunistically
-      (non-blocking semaphore acquires), copies each round's output
-      out of its ring slot immediately (freeing the slot), and merges
-      stashed rounds strictly in round order — replica order within a
-      round — so the shared log holds the serial runner's bytes;
-    * it blocks only when nothing else can move, and then only on a
-      worker that still owes the frontier round.  Those waits are the
-      round's ``barrier_wait_s``.
+    1. publishes one dispatch record — the round's balancer targets
+       and the watermark ``log.published`` — and releases every
+       worker;
+    2. acquires every worker's done semaphore in worker order, booking
+       each wait into that round's ``barrier_wait_s``;
+    3. merges the output blocks zero-copy in replica order — so the
+       shared log holds the serial runner's bytes — and marks them
+       consumed;
+    4. emits ``fleet_round``.
 
-    Deadlock-free because a worker's stashed count never trails the
-    frontier (its rounds ``< F`` are merged, hence stashed), so the
-    frontier round always passes both dispatch gates.  With the
-    default ``K = 0`` the gates force dispatch of round R to wait for
-    the full merge of round R-1: the round barrier, with the serial
-    runner's watermarks, merge order and ``fleet_round`` telemetry.
+    Every member therefore absorbs everything merged before its round,
+    with the serial runner's watermarks, merge order and telemetry.
 
     Nothing reads the coordinator's :class:`SharedKnowledgeBase`
     before the campaign ends, so it is filled once from the shared
@@ -1135,10 +1018,6 @@ def _run_sharded(
     absorbed_total = 0
     merge_s = 0.0
     barrier_wait_s: list[list[float]] = [[] for _ in range(n_rounds)]
-    ring_slots = ring_slots_for(staleness_rounds)
-    budget = (
-        None if staleness_rounds == float("inf") else int(staleness_rounds)
-    )
     # Start the resource tracker *before* forking workers so they
     # inherit it.  The segments are only created after the handshake;
     # a worker that forked trackerless would lazily spawn its own
@@ -1155,13 +1034,12 @@ def _run_sharded(
     ]
     for i in range(n_services):
         shards[i % len(shards)].append(i)
-    n_workers = len(shards)
 
     processes: list[multiprocessing.Process] = []
     connections = []
     dispatch_sems = []
     done_sems = []
-    controls: list[StalenessControlSegment] = []
+    control = None
     log = None
     outs: list[WorkerOutSegment] = []
     try:
@@ -1194,7 +1072,6 @@ def _run_sharded(
                     profile_path,
                     dispatch_sem,
                     done_sem,
-                    ring_slots,
                 ),
                 daemon=True,
             )
@@ -1217,14 +1094,11 @@ def _run_sharded(
         log_entries = n_services * max(n_slots, 1) + 16
         log_data = log_entries * max(max_dim, 1)
         log = KnowledgeLogSegment(log_entries, log_data)
+        control = ControlSegment(n_services)
         for shard, conn in zip(shards, connections):
-            control = StalenessControlSegment(ring_slots, n_services)
-            controls.append(control)
             out_entries = 2 * len(shard) * episodes_per_round + 8
             out_data = out_entries * max(max_dim, 1)
-            out = WorkerOutSegment(
-                len(shard), out_entries, out_data, n_slots=ring_slots
-            )
+            out = WorkerOutSegment(len(shard), out_entries, out_data)
             outs.append(out)
             conn.send(
                 (
@@ -1252,33 +1126,27 @@ def _run_sharded(
                     raise _worker_died(worker_id, process)
 
         lb_targets = [1.0] * n_services
-        dispatched = [0] * n_workers
-        stashed = [0] * n_workers
-        frontier = 0
-        stash: dict[tuple[int, int], dict] = {}
-
-        def stash_round(worker_id: int) -> None:
-            # Copy the finished round out of its ring slot and free
-            # the slot immediately — the stash, not the segment, holds
-            # the round until its turn at the merge frontier.
-            r = stashed[worker_id]
-            read = outs[worker_id].read_round(r)
-            stash[(worker_id, r)] = {
-                key: np.array(value, copy=True)
-                for key, value in read.items()
-            }
-            outs[worker_id].mark_consumed(r)
-            stashed[worker_id] = r + 1
-
-        def merge_frontier_round() -> None:
-            nonlocal lb_targets, absorbed_total, frontier, merge_s
-            r = frontier
-            reads = [stash.pop((w, r)) for w in range(n_workers)]
-            merge_started = time.perf_counter()
+        for round_index in range(n_rounds):
             watermark = log.published
-            lb_targets, downtime, absorbed = _merge_round_reads(
+            control.publish(round_index, watermark, lb_targets)
+            for dispatch_sem in dispatch_sems:
+                dispatch_sem.release()
+            for worker_id, done_sem in enumerate(done_sems):
+                wait_started = time.perf_counter()
+                acquire_with_liveness(
+                    done_sem,
+                    timeout=barrier_timeout,
+                    liveness=workers_alive,
+                    what=f"round {round_index} outputs (worker {worker_id})",
+                )
+                barrier_wait_s[round_index].append(
+                    time.perf_counter() - wait_started
+                )
+            merge_started = time.perf_counter()
+            lb_targets, downtime, absorbed = _merge_round(
+                round_index,
                 shards,
-                reads,
+                outs,
                 n_services,
                 balancer,
                 log,
@@ -1291,67 +1159,13 @@ def _run_sharded(
             if hub is not None:
                 hub.emit(
                     "fleet_round",
-                    round=r,
+                    round=round_index,
                     watermark=watermark,
                     published=published,
                     absorbed=absorbed,
                     lag=published,
                     downtime=downtime,
                 )
-            frontier = r + 1
-
-        while frontier < n_rounds:
-            # Dispatch every worker as far as the gates allow.  The
-            # watermark is whatever the log holds *now* — the
-            # round-decoupled freshness a budget K > 0 buys.
-            for w in range(n_workers):
-                while (
-                    dispatched[w] < n_rounds
-                    and dispatched[w] - stashed[w] < ring_slots
-                    and (
-                        budget is None
-                        or dispatched[w] - frontier <= budget
-                    )
-                ):
-                    controls[w].publish_dispatch(
-                        dispatched[w], log.published, frontier, lb_targets
-                    )
-                    dispatch_sems[w].release()
-                    dispatched[w] += 1
-            # Opportunistic drain: collect whatever finished, in any
-            # worker order, freeing ring slots as we go.
-            drained = False
-            for w in range(n_workers):
-                while stashed[w] < dispatched[w] and done_sems[
-                    w
-                ].acquire(False):
-                    stash_round(w)
-                    drained = True
-            # Merge complete rounds strictly in round order.
-            merged = False
-            while frontier < n_rounds and all(
-                stashed[w] > frontier for w in range(n_workers)
-            ):
-                merge_frontier_round()
-                merged = True
-            if merged or drained or frontier >= n_rounds:
-                continue
-            # Nothing moved: only the frontier round can unblock the
-            # gates, so wait on a worker that still owes it.
-            blocker = next(
-                w for w in range(n_workers) if stashed[w] == frontier
-            )
-            wait_started = time.perf_counter()
-            acquire_with_liveness(
-                done_sems[blocker],
-                timeout=barrier_timeout,
-                liveness=workers_alive,
-                what=f"round {frontier} outputs (worker {blocker})",
-            )
-            barrier_wait_s[frontier].append(
-                time.perf_counter() - wait_started
-            )
-            stash_round(blocker)
 
         merge_started = time.perf_counter()
         _fill_host_base(knowledge, log, vocab_words)
@@ -1360,8 +1174,6 @@ def _run_sharded(
         per_service: dict[int, CampaignResult] = {}
         events_by_member: dict[int, list[dict]] = {}
         dispatch_wait_s: list[float] = []
-        worker_lags: dict[int, list[int]] = {}
-        worker_marks: dict[int, list[int]] = {}
         for conn in connections:
             conn.send(("finish",))
         for worker_id, (process, conn) in enumerate(
@@ -1370,11 +1182,7 @@ def _run_sharded(
             payload = _recv(conn, worker_id, process)
             per_service.update(payload["results"])
             events_by_member.update(payload["events"])
-            perf = payload["perf"]
-            dispatch_wait_s.append(float(perf["dispatch_wait_s"]))
-            worker_lags[worker_id] = perf["round_lag"]
-            worker_marks[worker_id] = perf["watermark"]
-        all_lags = [lag for lags in worker_lags.values() for lag in lags]
+            dispatch_wait_s.append(float(payload["dispatch_wait_s"]))
         return (
             [per_service[i] for i in range(n_services)],
             absorbed_total,
@@ -1383,28 +1191,18 @@ def _run_sharded(
                 "barrier_wait_s": barrier_wait_s,
                 "dispatch_wait_s": dispatch_wait_s,
                 "merge_s": merge_s,
-                "staleness": {
-                    "mode": "sharded-async",
-                    "ring_slots": ring_slots,
-                    "round_lag": worker_lags,
-                    "watermarks": worker_marks,
-                    "lag_max": max(all_lags) if all_lags else 0,
-                    "lag_mean": (
-                        sum(all_lags) / len(all_lags) if all_lags else 0.0
-                    ),
-                },
             },
         )
     except BaseException:
         _terminate(processes)
         raise
     finally:
-        for control in controls:
+        if control is not None:
             control.abort()
         for conn in connections:
             conn.close()
         _join(processes)
-        for segment in (*controls, log, *outs):
+        for segment in (control, log, *outs):
             if segment is not None:
                 segment.close()
                 segment.unlink()
@@ -1417,13 +1215,7 @@ def format_fleet(result: FleetResult) -> str:
             f"Fleet campaign: {result.n_services} services x "
             f"{result.episodes_per_service} episodes "
             f"(seed={result.seed}, workers={result.workers}, "
-            f"sharing={'on' if result.share_knowledge else 'off'}"
-            + (
-                f", staleness={result.staleness_rounds}"
-                if result.staleness_rounds != 0
-                else ""
-            )
-            + ")"
+            f"sharing={'on' if result.share_knowledge else 'off'})"
         ),
         (
             "strike mix: "

@@ -265,14 +265,14 @@ class SharedKnowledgeBase:
     ) -> tuple[list[KnowledgeEntry], int]:
         """Foreign entries in ``[cursor, watermark)``, plus new cursor.
 
-        The bounded-staleness absorption primitive: a replica whose
-        knowledge may lag the log absorbs only up to ``watermark``
-        (clamped to the published count) and resumes from there next
-        round.  Because the cursor advances exactly to the watermark,
-        every published entry is absorbed exactly once per replica no
-        matter how the watermarks are staggered — the conservation
-        property the staleness transport tests pin down.
-        ``updates_for`` is the ``watermark = n_entries`` special case.
+        The serial runner's per-round absorption: each replica absorbs
+        up to the round-start watermark (clamped to the published
+        count) and resumes from there next round.  Because the cursor
+        advances exactly to the watermark, every published entry is
+        absorbed exactly once per replica no matter how the watermarks
+        are staggered — the conservation property the transport tests
+        pin down.  ``updates_for`` is the ``watermark = n_entries``
+        special case.
         """
         watermark = min(int(watermark), self._n)
         if watermark < cursor:

@@ -71,13 +71,6 @@ class FleetMember:
             cleanly to worker processes — each member builds its own
             hub, and the event bytes are identical for any worker
             count.
-        track_slo: keep this member's per-tick SLO-violation timeline
-            (a plain bool list, observation only — the hook never
-            perturbs the RNG streams or the campaign statistics).
-            The staleness ablation reads it through
-            :meth:`slo_breach_after_heal`; off by default because a
-            long campaign's timeline is pure overhead when nothing
-            will grade it.
     """
 
     def __init__(
@@ -91,7 +84,6 @@ class FleetMember:
         scenario=None,
         recorder=None,
         telemetry: bool = False,
-        track_slo: bool = False,
     ) -> None:
         self.index = index
         member_seed = int(
@@ -142,13 +134,6 @@ class FleetMember:
             telemetry=telemetry_obj,
         )
         self.telemetry = telemetry_obj
-        self.slo_flags: list[bool] | None = None
-        if track_slo:
-            self.slo_flags = []
-            flags = self.slo_flags
-            self.service.tick_hooks.append(
-                lambda snapshot: flags.append(bool(snapshot.slo_violated))
-            )
         self.result = CampaignResult()
         self.lb_factor = 1.0
         self._warmed = False
@@ -161,32 +146,6 @@ class FleetMember:
         segments from this during the startup handshake.
         """
         return 2 * self.loop.harness.collector.n_metrics
-
-    def slo_breach_after_heal(self, window: int) -> int:
-        """Episodes whose SLO re-broke within ``window`` ticks of heal.
-
-        The fleet-level analogue of the corpus oracle's
-        ``slo_breach_after_heal`` verdict: for every episode this
-        member verified as recovered, check the next ``window`` ticks
-        of the SLO timeline for a violation.  Requires the member to
-        have been built with ``track_slo=True``; callers should clamp
-        ``window`` to the campaign's ``settle_ticks`` so the next
-        episode's injected fault never reads as a failed heal.
-        """
-        if self.slo_flags is None:
-            raise RuntimeError(
-                "slo_breach_after_heal needs track_slo=True at "
-                "member construction"
-            )
-        breaches = 0
-        for report in self.result.reports:
-            if report.recovered_at is None:
-                continue
-            lo = report.recovered_at + 1
-            hi = min(len(self.slo_flags), lo + window)
-            if any(self.slo_flags[lo:hi]):
-                breaches += 1
-        return breaches
 
     def set_lb_factor(self, target: float) -> None:
         """Apply the balancer's traffic multiplier for the next round.

@@ -8,14 +8,12 @@ after a one-time handshake the Pipe carries no per-round traffic at
 all — workers and the coordinator synchronize exclusively through
 semaphores, with versioned counters in shared memory as checks:
 
-``StalenessControlSegment`` (coordinator → one worker)
-    A per-worker ring of dispatch records ``(round, watermark, merge
-    frontier, lb targets)``, written immediately before the worker's
-    dispatch release.  The watermark is whatever the coordinator has
-    merged *by dispatch time* — decoupled from the round counter —
-    which is what lets a staleness budget ``K > 0`` dispatch workers
-    ahead of the merge; at ``K = 0`` it is the round barrier's
-    watermark.
+``ControlSegment`` (coordinator → every worker)
+    One dispatch record per campaign, ``(round, watermark, lb
+    targets)``, plus the abort flag.  The coordinator rewrites it only
+    after every worker has finished the previous round, so one record
+    is enough: the round barrier itself keeps it from being
+    overwritten while a worker still needs it.
 
 ``KnowledgeLogSegment`` (coordinator writes, workers read)
     The fleet's append-only knowledge log, laid out ragged: a flat
@@ -28,13 +26,11 @@ semaphores, with versioned counters in shared memory as checks:
     reads are zero-copy views.
 
 ``WorkerOutSegment`` (one per worker, coordinator reads)
-    Ring-buffered round output, sized from the staleness budget by
-    :func:`ring_slots_for`: per-member downtime fractions and absorb
+    One round's output: per-member downtime fractions and absorb
     counts, plus the round's learned (symptoms, fix) pairs in the same
-    ragged layout.  The ring lets a worker run ahead of the merge
-    frontier into other slots; a ``consumed`` counter written back by
-    the coordinator arms an overwrite guard, so a slot is provably
-    never rewritten before its round has been read.
+    ragged layout.  A ``consumed`` counter written back by the
+    coordinator arms an overwrite guard, so the block is provably never
+    rewritten before its round has been read.
 
 Segments carry *data*; round synchronization rides a pair of
 ``multiprocessing.Semaphore`` lines per worker (dispatch and done).
@@ -63,14 +59,13 @@ from multiprocessing import shared_memory
 import numpy as np
 
 __all__ = [
+    "ControlSegment",
     "KnowledgeLogSegment",
-    "StalenessControlSegment",
     "Vocab",
     "WorkerOutSegment",
     "acquire_with_liveness",
     "attach_segment",
     "pack_ragged",
-    "ring_slots_for",
     "unpack_ragged",
 ]
 
@@ -241,113 +236,54 @@ class _Segment:
             pass
 
 
-#: Ring depth used for an unbounded (``K = inf``) staleness budget.
-#: The knowledge bound never applies, so the ring only provides
-#: backpressure against the coordinator's consumption pace.
-UNBOUNDED_RING_SLOTS = 8
+class ControlSegment(_Segment):
+    """The sharded fleet executor's dispatch record, shared by all workers.
 
-
-def ring_slots_for(staleness_rounds: int | float) -> int:
-    """Output-ring depth for one staleness budget.
-
-    A worker running round R may be up to ``K`` rounds ahead of the
-    merge frontier, so ``K + 1`` slots can be in flight at once
-    (rounds ``F .. F + K``); one slack slot keeps the dispatch gate
-    off the hot edge.  ``inf`` gets a fixed depth — there the ring is
-    pure backpressure, not part of the staleness bound.
-    """
-    if staleness_rounds == float("inf"):
-        return UNBOUNDED_RING_SLOTS
-    return max(2, int(staleness_rounds) + 2)
-
-
-class StalenessControlSegment(_Segment):
-    """Per-worker dispatch ring of the sharded fleet executor.
-
-    Layout: ``[abort] | records[n_slots][3] | targets[n_slots][n_services]``
-    where a record is ``(round, watermark, merge_frontier)``.  The
-    coordinator fills slot ``round % n_slots`` immediately before
-    releasing that worker's dispatch semaphore — the release fences
-    the stores.  The slot for round R is only rewritten when round
-    ``R + n_slots`` is dispatched, and the dispatch gate
-    (``dispatched - consumed < n_slots``) guarantees the worker has
-    long since read R by then.
-
-    The watermark in a record is *not* a function of the round
-    number: it is whatever the shared knowledge log held when the
-    dispatch was issued.  With ``K = 0`` the dispatch is only issued
-    once every prior round is merged, so the record carries the round
-    barrier's watermark — the transport half of the argument that any
-    worker count reproduces the serial runner.
+    Layout: ``[abort, round, watermark] | targets[n_services]``.  The
+    coordinator fills the record immediately before releasing every
+    worker's dispatch semaphore — the release fences the stores — and
+    rewrites it only after it has acquired every worker's done
+    semaphore for the previous round, by which time each worker has
+    read it.  The watermark is ``log.published`` at dispatch time:
+    every entry merged before the round, the serial runner's cursor
+    semantics.
     """
 
-    HEADER = 1
+    HEADER = 3
 
-    def __init__(
-        self,
-        n_slots: int,
-        n_services: int,
-        *,
-        name: str | None = None,
-    ) -> None:
-        self.n_slots = int(n_slots)
+    def __init__(self, n_services: int, *, name: str | None = None) -> None:
         self.n_services = int(n_services)
-        total = (self.HEADER + 3 * self.n_slots) * _I64.itemsize + (
-            self.n_slots * self.n_services
-        ) * _F64.itemsize
+        total = self.HEADER * _I64.itemsize + self.n_services * _F64.itemsize
         super().__init__(total, name, create=name is None)
         self._header = self._carve(self.HEADER, _I64)
-        self._records = self._carve(3 * self.n_slots, _I64).reshape(
-            self.n_slots, 3
-        )
-        self._targets = self._carve(
-            self.n_slots * self.n_services, _F64
-        ).reshape(self.n_slots, self.n_services)
+        self._targets = self._carve(self.n_services, _F64)
         if self.owner:
-            self._header[:] = 0
-            self._records[:] = -1
+            self._header[:] = (0, -1, 0)
             self._targets[:] = 1.0
 
     @classmethod
-    def attach(
-        cls, name: str, n_slots: int, n_services: int
-    ) -> "StalenessControlSegment":
-        return cls(n_slots, n_services, name=name)
+    def attach(cls, name: str, n_services: int) -> "ControlSegment":
+        return cls(n_services, name=name)
 
-    def publish_dispatch(
-        self,
-        round_index: int,
-        watermark: int,
-        frontier: int,
-        lb_targets,
-    ) -> None:
-        """Record one dispatch (caller releases the semaphore after)."""
-        slot = round_index % self.n_slots
-        self._records[slot, 0] = round_index
-        self._records[slot, 1] = watermark
-        self._records[slot, 2] = frontier
-        self._targets[slot, :] = lb_targets
+    def publish(self, round_index: int, watermark: int, lb_targets) -> None:
+        """Record one dispatch (caller releases the semaphores after)."""
+        self._header[1] = round_index
+        self._header[2] = watermark
+        self._targets[:] = lb_targets
 
-    def read_dispatch(
-        self, round_index: int
-    ) -> tuple[int, int, np.ndarray]:
-        """The (watermark, merge frontier, lb targets) of one dispatch.
+    def read_round(self, round_index: int) -> tuple[int, np.ndarray]:
+        """The (watermark, lb targets) dispatched for ``round_index``.
 
-        Raises if the slot does not hold the expected round — a ring
-        discipline violation the dispatch gate should make impossible.
+        Raises if the record holds another round — a dispatch
+        discipline violation the round barrier should make impossible.
         """
-        slot = round_index % self.n_slots
-        if int(self._records[slot, 0]) != round_index:
+        held = int(self._header[1])
+        if held != round_index:
             raise RuntimeError(
-                f"staleness control slot {slot} holds round "
-                f"{int(self._records[slot, 0])}, expected {round_index} "
-                "— dispatch ring discipline violated"
+                f"control record holds round {held}, expected "
+                f"{round_index} — dispatch discipline violated"
             )
-        return (
-            int(self._records[slot, 1]),
-            int(self._records[slot, 2]),
-            self._targets[slot].copy(),
-        )
+        return int(self._header[2]), self._targets.copy()
 
     def abort(self) -> None:
         self._header[0] = 1
@@ -459,29 +395,25 @@ class KnowledgeLogSegment(_Segment):
 
 
 class WorkerOutSegment(_Segment):
-    """One worker's ring-buffered round output block.
+    """One worker's round output block.
 
-    Per slot: ``downtime[f64 n_members] | absorbed[i64 n_members] |
-    counts[i64 n_members] | lengths/fix/origin[i64 max_entries] |
-    data[f64 data_capacity]``.  Contributions are written grouped by
-    member in index order — the coordinator regroups them by replica
-    with the ``counts`` column.  The slot for round R is
-    ``R % n_slots``; the worker fills it and then releases its done
-    semaphore, which fences the stores for the coordinator's read.
+    Layout: ``[rounds_completed, consumed] | downtime[f64 n_members] |
+    absorbed[i64 n_members] | counts[i64 n_members] |
+    lengths/fix/origin[i64 max_entries] | data[f64 data_capacity]``.
+    Contributions are written grouped by member in index order — the
+    coordinator regroups them by replica with the ``counts`` column.
+    The worker fills the block and then releases its done semaphore,
+    which fences the stores for the coordinator's read.
 
-    The executor sizes the ring from the staleness budget via
-    :func:`ring_slots_for` so a worker can run up to K rounds ahead of
-    the merge frontier.
-
-    Two counters live in the header.  ``rounds_completed`` (worker →
-    coordinator) is a sanity counter, not a fence.  ``consumed``
-    (coordinator → worker) is the number of rounds the coordinator
-    has finished reading; :meth:`write_round` refuses to reuse a slot
-    whose previous tenant has not been consumed, so a protocol bug
-    that would silently corrupt an unread round fails loudly instead.
-    The guard can never false-positive: the dispatch for round R is
-    only issued once ``consumed >= R - n_slots + 1``, and the dispatch
-    semaphore fences that store.
+    ``rounds_completed`` (worker → coordinator) is a sanity counter,
+    not a fence: :meth:`read_round` checks the block holds the round
+    asked for.  ``consumed`` (coordinator → worker) is the number of
+    rounds the coordinator has finished reading; :meth:`write_round`
+    refuses to overwrite a round that has not been consumed, so a
+    protocol bug that would silently corrupt an unread round fails
+    loudly instead.  The guard can never false-positive: the dispatch
+    for round R is only issued once round R-1 is consumed, and the
+    dispatch semaphore fences that store.
     """
 
     HEADER = 2
@@ -492,38 +424,25 @@ class WorkerOutSegment(_Segment):
         max_entries: int,
         data_capacity: int,
         *,
-        n_slots: int = 2,
         name: str | None = None,
     ) -> None:
         self.n_members = int(n_members)
         self.max_entries = int(max_entries)
         self.data_capacity = int(data_capacity)
-        self.n_slots = int(n_slots)
-        if self.n_slots < 2:
-            raise ValueError(
-                f"output ring needs >= 2 slots, got {self.n_slots}"
-            )
-        per_buffer_i64 = 2 * self.n_members + 3 * self.max_entries
         total = (
-            (self.HEADER + self.n_slots * per_buffer_i64) * _I64.itemsize
-            + self.n_slots
-            * (self.n_members + self.data_capacity)
-            * _F64.itemsize
-        )
+            self.HEADER + 2 * self.n_members + 3 * self.max_entries
+        ) * _I64.itemsize + (
+            self.n_members + self.data_capacity
+        ) * _F64.itemsize
         super().__init__(total, name, create=name is None)
         self._header = self._carve(self.HEADER, _I64)
-        self._buffers = []
-        for _ in range(self.n_slots):
-            buffer = {
-                "downtime": self._carve(self.n_members, _F64),
-                "absorbed": self._carve(self.n_members, _I64),
-                "counts": self._carve(self.n_members, _I64),
-                "lengths": self._carve(self.max_entries, _I64),
-                "fix_codes": self._carve(self.max_entries, _I64),
-                "origin_codes": self._carve(self.max_entries, _I64),
-                "data": self._carve(self.data_capacity, _F64),
-            }
-            self._buffers.append(buffer)
+        self._downtime = self._carve(self.n_members, _F64)
+        self._absorbed = self._carve(self.n_members, _I64)
+        self._counts = self._carve(self.n_members, _I64)
+        self._lengths = self._carve(self.max_entries, _I64)
+        self._fix_codes = self._carve(self.max_entries, _I64)
+        self._origin_codes = self._carve(self.max_entries, _I64)
+        self._data = self._carve(self.data_capacity, _F64)
         if self.owner:
             self._header[:] = 0
 
@@ -534,19 +453,8 @@ class WorkerOutSegment(_Segment):
         n_members: int,
         max_entries: int,
         data_capacity: int,
-        n_slots: int = 2,
     ) -> "WorkerOutSegment":
-        return cls(
-            n_members,
-            max_entries,
-            data_capacity,
-            n_slots=n_slots,
-            name=name,
-        )
-
-    def close(self) -> None:
-        self._buffers = []
-        super().close()
+        return cls(n_members, max_entries, data_capacity, name=name)
 
     @property
     def rounds_completed(self) -> int:
@@ -558,7 +466,7 @@ class WorkerOutSegment(_Segment):
         return int(self._header[1])
 
     def mark_consumed(self, round_index: int) -> None:
-        """Coordinator: round ``round_index``'s slot may be reused."""
+        """Coordinator: round ``round_index``'s block may be reused."""
         self._header[1] = round_index + 1
 
     def write_round(
@@ -572,7 +480,7 @@ class WorkerOutSegment(_Segment):
         fix_codes: np.ndarray,
         origin_codes: np.ndarray,
     ) -> None:
-        """Fill one round's output slot (caller signals done after)."""
+        """Fill the block with one round (caller signals done after)."""
         n = len(lengths)
         if n > self.max_entries or len(flat) > self.data_capacity:
             raise RuntimeError(
@@ -581,39 +489,41 @@ class WorkerOutSegment(_Segment):
                 f"({self.max_entries} entries / "
                 f"{self.data_capacity} floats)"
             )
-        if round_index - self.consumed >= self.n_slots:
+        if self.consumed < round_index:
             raise RuntimeError(
-                f"output ring overwrite: round {round_index} would "
-                f"reuse the slot of round {round_index - self.n_slots}, "
-                f"which the coordinator has not consumed yet "
-                f"(consumed={self.consumed}, n_slots={self.n_slots})"
+                f"output block overwrite: round {round_index} would "
+                f"replace round {round_index - 1}, which the "
+                f"coordinator has not consumed yet "
+                f"(consumed={self.consumed})"
             )
-        buffer = self._buffers[round_index % self.n_slots]
-        buffer["downtime"][:] = downtime
-        buffer["absorbed"][:] = absorbed
-        buffer["counts"][:] = counts
-        buffer["lengths"][:n] = lengths
-        buffer["fix_codes"][:n] = fix_codes
-        buffer["origin_codes"][:n] = origin_codes
-        buffer["data"][: len(flat)] = flat
+        self._downtime[:] = downtime
+        self._absorbed[:] = absorbed
+        self._counts[:] = counts
+        self._lengths[:n] = lengths
+        self._fix_codes[:n] = fix_codes
+        self._origin_codes[:n] = origin_codes
+        self._data[: len(flat)] = flat
         self._header[0] = round_index + 1
 
     def read_round(self, round_index: int) -> dict:
-        """Zero-copy views of one published round's output.
+        """Zero-copy views of the round the block holds.
 
-        Valid until the worker starts round ``round_index + n_slots``.
-        Callers that hold the data past :meth:`mark_consumed` must
-        copy first (the executor's stash does).
+        Valid until :meth:`mark_consumed` releases the block to the
+        worker's next round.
         """
-        buffer = self._buffers[round_index % self.n_slots]
-        n = int(buffer["counts"].sum())
-        lengths = buffer["lengths"][:n]
+        if self.rounds_completed != round_index + 1:
+            raise RuntimeError(
+                f"output block holds round {self.rounds_completed - 1}, "
+                f"expected {round_index}"
+            )
+        n = int(self._counts.sum())
+        lengths = self._lengths[:n]
         return {
-            "downtime": buffer["downtime"],
-            "absorbed": buffer["absorbed"],
-            "counts": buffer["counts"],
+            "downtime": self._downtime,
+            "absorbed": self._absorbed,
+            "counts": self._counts,
             "lengths": lengths,
-            "fix_codes": buffer["fix_codes"][:n],
-            "origin_codes": buffer["origin_codes"][:n],
-            "flat": buffer["data"][: int(lengths.sum())],
+            "fix_codes": self._fix_codes[:n],
+            "origin_codes": self._origin_codes[:n],
+            "flat": self._data[: int(lengths.sum())],
         }

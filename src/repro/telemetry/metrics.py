@@ -36,8 +36,6 @@ _HELP = {
     "repro_phase_ticks": "Episode phase durations, in simulation ticks.",
     "repro_recovery_ticks": "End-to-end recovery time (injection to verified healthy), in ticks.",
     "repro_knowledge_lag_entries": "Per-round knowledge watermark lag (entries published after the dispatched watermark).",
-    "repro_fleet_staleness_rounds": "Bounded-staleness budget the campaign ran with (-1 = unbounded).",
-    "repro_fleet_staleness_lag_rounds_max": "Largest observed knowledge-absorption lag, in rounds.",
 }
 
 
@@ -133,16 +131,6 @@ def aggregate_events(events: list[dict]) -> dict:
                     sum(downtime)
                 )
             observe("repro_knowledge_lag_entries", (), event.get("lag"))
-        elif etype == "fleet_staleness":
-            # Emitted once per bounded-staleness campaign (K > 0);
-            # "inf" is exported as -1 so the gauge stays numeric.
-            rounds = event.get("rounds", 0)
-            counters[("repro_fleet_staleness_rounds", ())] = (
-                -1 if rounds == "inf" else int(rounds)
-            )
-            counters[("repro_fleet_staleness_lag_rounds_max", ())] = int(
-                event.get("lag_max", 0)
-            )
     return {"counters": dict(counters), "histograms": dict(hists)}
 
 

@@ -145,15 +145,6 @@ def _fleet_lines(events: list[dict]) -> list[str]:
             f"  knowledge log          {end.get('entries', '?')} entries"
             f" ({end.get('bytes', '?')} bytes)"
         )
-    staleness = next(
-        (e for e in events if e.get("type") == "fleet_staleness"), None
-    )
-    if staleness is not None:
-        lines.append(
-            f"  staleness budget       {staleness.get('rounds')} rounds"
-            f" (observed lag max {staleness.get('lag_max', 0)},"
-            f" mean {float(staleness.get('lag_mean', 0.0)):.2f})"
-        )
     return lines
 
 

@@ -239,6 +239,21 @@ class TestFleetCampaign:
         assert a.escalation_rate == b.escalation_rate
         assert a.knowledge_entries == b.knowledge_entries
 
+    def test_serial_matches_classic_barrier_exactly(self):
+        """The serial runner's round barrier, pinned to what the
+        original barrier executor produced for this shape."""
+        result = run_fleet_campaign(
+            n_services=2, episodes_per_service=3, seed=17
+        )
+        assert (
+            result.knowledge_entries,
+            result.knowledge_absorbed,
+            result.total_reports,
+            result.injected,
+            result.undetected,
+            result.pooled.total_ticks,
+        ) == (4, 3, 4, 6, 2, 2199)
+
     def test_worker_count_does_not_change_results(self):
         serial = run_fleet_campaign(
             n_services=2, episodes_per_service=2, seed=23, workers=1
@@ -257,7 +272,7 @@ class TestFleetCampaign:
 
     def test_multi_slot_rounds_match_across_workers(self):
         """episodes_per_round > 1 batches slots between barriers; the
-        ring-buffered transport must stay equivalent to serial."""
+        shared-memory transport must stay equivalent to serial."""
         serial = run_fleet_campaign(
             n_services=3,
             episodes_per_service=4,

@@ -4,7 +4,8 @@ A member that raises (in its constructor or in any round), a worker
 that is SIGKILLed, and a worker that stalls past ``barrier_timeout``
 must each end the campaign promptly with an error that names the
 cause: no surviving worker left running, no shared-memory segment
-left behind.
+left behind.  ``repro fleet`` reports a dead or failing worker as one
+``error:`` line and exit code 1.
 
 The faults are injected by monkeypatching module globals of
 :mod:`repro.fleet.campaign`, which reaches the workers only when they
@@ -98,21 +99,16 @@ def _expect_prompt_teardown(exception, match: str, **kwargs):
     return excinfo.value
 
 
-# K=2 dispatches both rounds up front, so the surviving worker is
-# blocked in the finish handshake rather than on its next dispatch.
-@pytest.mark.parametrize(
-    "staleness_rounds", [0, 2], ids=["staleness0", "staleness2"]
-)
+# Each failure point leaves the surviving worker blocked somewhere
+# else: ``construct`` in the attach handshake, ``first_round`` on its
+# next dispatch, ``last_round`` in the finish handshake.  No EOF wakes
+# a worker blocked in a handshake, so only ``_terminate`` ends those
+# two promptly; without it each holds teardown for the 30 s join
+# timeout.
 @pytest.mark.parametrize("failure", ["construct", "first_round", "last_round"])
-def test_failing_member_tears_down_promptly(
-    monkeypatch, failure, staleness_rounds
-):
+def test_failing_member_tears_down_promptly(monkeypatch, failure):
     _inject(monkeypatch, failure, _raise)
-    error = _expect_prompt_teardown(
-        RuntimeError,
-        "fleet worker failed",
-        staleness_rounds=staleness_rounds,
-    )
+    error = _expect_prompt_teardown(RuntimeError, "fleet worker failed")
     assert INJECTED in str(error)
 
 
@@ -130,3 +126,36 @@ def test_stalled_worker_times_out_promptly(monkeypatch):
         TimeoutError, "round 0", barrier_timeout=2.0
     )
     assert "worker 1" in str(error)
+
+
+def _fleet_cli(capsys) -> tuple[int, str]:
+    """Run ``repro fleet`` on the failing 2-worker shape."""
+    from repro.cli import main
+
+    code = main(
+        [
+            "fleet",
+            "--services", "2",
+            "--episodes", str(EPISODES),
+            "--seed", "3",
+            "--workers", "2",
+        ]
+    )
+    assert multiprocessing.active_children() == []
+    return code, capsys.readouterr().err
+
+
+def test_cli_reports_killed_worker_as_error_line(monkeypatch, capsys):
+    _inject(monkeypatch, "first_round", _sigkill)
+    code, err = _fleet_cli(capsys)
+    assert code == 1
+    assert err.startswith("error: fleet worker 1")
+    assert "Traceback" not in err
+
+
+def test_cli_reports_failing_member_as_error_line(monkeypatch, capsys):
+    _inject(monkeypatch, "first_round", _raise)
+    code, err = _fleet_cli(capsys)
+    assert code == 1
+    assert err.startswith("error: fleet worker failed")
+    assert INJECTED in err

@@ -7,19 +7,28 @@ exchange (and with it, the bit-exactness contract).  Hypothesis drives
 the edge cases the stacking trick has to survive: mixed-length
 vectors, zero-length vectors, empty rounds, and special float values
 (NaN/inf travel verbatim — comparisons are on raw bytes).
+
+The round barrier's own guards are pinned here too: a worker reading
+a dispatch record that does not hold its round, and a worker
+overwriting an output block the coordinator has not consumed, both
+fail loudly; windowed absorption conserves entries for any watermark
+schedule.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fleet.campaign import _entries_from_log
 from repro.fleet.knowledge import SharedKnowledgeBase
 from repro.fleet.transport import (
+    ControlSegment,
     KnowledgeLogSegment,
     Vocab,
+    WorkerOutSegment,
     pack_ragged,
     unpack_ragged,
 )
@@ -203,3 +212,167 @@ class TestSharedKnowledgeBaseBatch:
                 b.origin,
             )
             assert a.symptoms.tobytes() == b.symptoms.tobytes()
+
+
+class TestControlSegment:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_dispatch_roundtrip_through_attach(self, n_services, n_rounds):
+        """Every dispatch read back (through a second attachment, the
+        worker's view) must return exactly the published record, with
+        watermarks non-decreasing the way the coordinator issues them."""
+        owner = ControlSegment(n_services)
+        try:
+            worker = ControlSegment.attach(owner.name, n_services)
+            try:
+                last_mark = -1
+                for r in range(n_rounds):
+                    mark = 3 * r
+                    targets = np.full(n_services, 1.0 + r)
+                    owner.publish(r, mark, targets)
+                    got_mark, got_targets = worker.read_round(r)
+                    assert got_mark == mark
+                    assert got_targets.tobytes() == targets.tobytes()
+                    assert got_mark >= last_mark
+                    last_mark = got_mark
+            finally:
+                worker.close()
+        finally:
+            owner.close()
+            owner.unlink()
+
+    def test_stale_read_is_loud(self):
+        control = ControlSegment(1)
+        try:
+            control.publish(0, 0, [1.0])
+            # Reading round 1 before the coordinator publishes it
+            # would hand the worker round 0's watermark and targets.
+            with pytest.raises(RuntimeError, match="dispatch discipline"):
+                control.read_round(1)
+        finally:
+            control.close()
+            control.unlink()
+
+    def test_abort_flag_crosses_attachment(self):
+        owner = ControlSegment(1)
+        try:
+            worker = ControlSegment.attach(owner.name, 1)
+            try:
+                assert not worker.aborted()
+                owner.abort()
+                assert worker.aborted()
+            finally:
+                worker.close()
+        finally:
+            owner.close()
+            owner.unlink()
+
+
+def _write_round(out: WorkerOutSegment, round_index: int) -> None:
+    """One synthetic round whose payload is a function of its index."""
+    flat = np.full(2, float(round_index), dtype=np.float64)
+    lengths = np.asarray([2], dtype=np.int64)
+    out.write_round(
+        round_index,
+        [float(round_index)],
+        [round_index],
+        [1],
+        flat,
+        lengths,
+        np.asarray([round_index], dtype=np.int64),
+        np.asarray([0], dtype=np.int64),
+    )
+
+
+class TestWorkerOutSegment:
+    def test_overwrite_guard_and_consume_release(self):
+        out = WorkerOutSegment(1, 4, 8)
+        try:
+            _write_round(out, 0)
+            # Round 1 would replace round 0, still unconsumed.
+            with pytest.raises(RuntimeError, match="output block overwrite"):
+                _write_round(out, 1)
+            out.mark_consumed(0)
+            _write_round(out, 1)
+            assert out.rounds_completed == 2
+            assert out.consumed == 1
+            view = out.read_round(1)
+            assert view["flat"].tobytes() == np.full(2, 1.0).tobytes()
+            # Views alias the shared buffer; drop them before close.
+            del view
+            with pytest.raises(RuntimeError, match="holds round 1"):
+                out.read_round(0)
+        finally:
+            out.close()
+            out.unlink()
+
+
+# Per-round foreign contributions: (source, symptom value) pairs.
+_round_contribs = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.floats(allow_nan=False, allow_infinity=False, width=32),
+    ),
+    min_size=0,
+    max_size=3,
+)
+
+
+class TestUpdatesWindow:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(_round_contribs, min_size=1, max_size=6),
+        st.integers(min_value=0, max_value=3),
+        st.data(),
+    )
+    def test_staggered_absorption_conserves_entries(
+        self, rounds, reader, data
+    ):
+        """Absorbing through any non-decreasing watermark schedule must
+        yield exactly the entries a single ``updates_for`` sweep yields
+        — each published entry absorbed exactly once, in log order."""
+        base = SharedKnowledgeBase()
+        for contributions in rounds:
+            for source, value in contributions:
+                base.contribute(
+                    source, np.asarray([value]), "restart_component"
+                )
+        total = base.n_entries
+        reference, ref_cursor = base.updates_for(reader, 0)
+        assert ref_cursor == total
+
+        # A random staggered schedule, always ending at the full log.
+        marks = sorted(
+            data.draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=total),
+                    min_size=1,
+                    max_size=6,
+                )
+            )
+        ) + [total]
+        absorbed = []
+        cursor = 0
+        for mark in marks:
+            fresh, cursor = base.updates_window(reader, cursor, mark)
+            absorbed.extend(fresh)
+            assert cursor == min(mark, total)
+        assert [e.seq for e in absorbed] == [e.seq for e in reference]
+        assert all(e.source != reader for e in absorbed)
+
+    def test_backwards_watermark_is_loud(self):
+        base = SharedKnowledgeBase()
+        for _ in range(3):
+            base.contribute(0, np.asarray([1.0]), "restart_component")
+        _, cursor = base.updates_window(1, 0, 2)
+        with pytest.raises(ValueError, match="cannot move backwards"):
+            base.updates_window(1, cursor, 1)
+
+    def test_watermark_clamped_to_published(self):
+        base = SharedKnowledgeBase()
+        base.contribute(0, np.asarray([1.0]), "restart_component")
+        fresh, cursor = base.updates_window(1, 0, 99)
+        assert len(fresh) == 1 and cursor == 1
