@@ -16,6 +16,12 @@ Package map:
 * :mod:`repro.scenarios` -- named workload scenario packs and
   telemetry trace record/replay.
 
+Runtime dependencies are numpy and orjson; scipy is imported only
+inside :func:`repro.learning.chi2_sf`, so the entry points
+(``repro.experiments.campaign``, ``repro.fleet.campaign``,
+``repro.scenarios.runner``) load no other third-party package.
+``setup.py`` reads ``__version__`` from this file.
+
 See README.md and docs/ for the full tour and ``python -m repro
 list`` for the experiment CLI.
 """

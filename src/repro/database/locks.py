@@ -7,19 +7,46 @@ Two Table 1 failure modes live here:
   grows with write share and access skew, and shrinks with the number
   of physical partitions (the repartitioning fix's lever).
 * "Deadlocked threads" (the database-side variant: a hung query
-  holding locks) — modelled explicitly with a wait-for graph; cycles
-  are detected with networkx and broken by the kill-hung-query fix.
+  holding locks) — modelled explicitly with a wait-for graph, a plain
+  ``dict`` from each node to the set of nodes it waits on.  Cycles are
+  listed by :func:`elementary_cycles`, a depth-first search over the
+  few hung transactions, and broken by the kill-hung-query fix.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from repro.database.schema import Table
 
-__all__ = ["HungTransaction", "LockManager"]
+__all__ = ["HungTransaction", "LockManager", "elementary_cycles"]
+
+
+def elementary_cycles(
+    successors: Mapping[str, set[str]], nodes: Sequence[str]
+) -> list[list[str]]:
+    """Every cycle of two or more nodes in the subgraph induced by ``nodes``.
+
+    Each cycle is rooted at its lowest-ranked node (earliest in
+    ``nodes``) and extended only through higher-ranked ones, so it is
+    listed exactly once; self-loops are not cycles here.
+    """
+    cycles: list[list[str]] = []
+
+    def extend(path: list[str], later: Sequence[str]) -> None:
+        succ = successors[path[-1]]
+        if len(path) > 1 and path[0] in succ:
+            cycles.append(path.copy())
+        for node in later:
+            if node in succ and node not in path:
+                path.append(node)
+                extend(path, later)
+                path.pop()
+
+    for rank, root in enumerate(nodes):
+        extend([root], nodes[rank + 1 :])
+    return cycles
 
 
 @dataclass
@@ -53,7 +80,8 @@ class LockManager:
     def __init__(self, tables: dict[str, Table]) -> None:
         self._tables = tables
         self._hung: dict[str, HungTransaction] = {}
-        self.wait_for = nx.DiGraph()
+        # Wait-for graph: node -> the nodes it waits on.
+        self.wait_for: dict[str, set[str]] = {}
         self.total_deadlocks_detected = 0
         self.total_kills = 0
         # rows-per-page per table, hoisted out of the per-tick
@@ -119,7 +147,7 @@ class LockManager:
         if txn.txn_id in self._hung:
             raise ValueError(f"transaction {txn.txn_id} already registered")
         self._hung[txn.txn_id] = txn
-        self.wait_for.add_node(txn.txn_id)
+        self.wait_for.setdefault(txn.txn_id, set())
 
     def block_waiters(self, now: int) -> float:
         """Accumulate one tick of blocking behind hung transactions.
@@ -131,20 +159,21 @@ class LockManager:
         """
         if not self._hung:
             return 0.0
+        wait_for = self.wait_for
         wait_ms = 0.0
         hung_list = list(self._hung.values())
         for txn in hung_list:
             for i in range(txn.victims_per_tick):
                 waiter = f"{txn.txn_id}/waiter{now}.{i}"
                 txn.waiters.append(waiter)
-                self.wait_for.add_edge(waiter, txn.txn_id)
+                wait_for.setdefault(waiter, set()).add(txn.txn_id)
             wait_ms += txn.victims_per_tick * self.HUNG_WAIT_MS
         # Hung transactions on the same table mutually wait — cycle.
         for i, a in enumerate(hung_list):
             for b in hung_list[i + 1 :]:
                 if a.table == b.table:
-                    self.wait_for.add_edge(a.txn_id, b.txn_id)
-                    self.wait_for.add_edge(b.txn_id, a.txn_id)
+                    wait_for[a.txn_id].add(b.txn_id)
+                    wait_for[b.txn_id].add(a.txn_id)
         return wait_ms
 
     def detect_deadlocks(self) -> list[list[str]]:
@@ -159,8 +188,7 @@ class LockManager:
         """
         if len(self._hung) < 2:
             return []
-        cycles = nx.simple_cycles(self.wait_for.subgraph(self._hung))
-        deadlocks = [cycle for cycle in cycles if len(cycle) > 1]
+        deadlocks = elementary_cycles(self.wait_for, list(self._hung))
         self.total_deadlocks_detected += len(deadlocks)
         return deadlocks
 
@@ -173,11 +201,12 @@ class LockManager:
         txn = self._hung.pop(txn_id, None)
         if txn is None:
             return False
+        wait_for = self.wait_for
         for waiter in txn.waiters:
-            if self.wait_for.has_node(waiter):
-                self.wait_for.remove_node(waiter)
-        if self.wait_for.has_node(txn_id):
-            self.wait_for.remove_node(txn_id)
+            wait_for.pop(waiter, None)
+        wait_for.pop(txn_id, None)
+        for other in self._hung:
+            wait_for[other].discard(txn_id)
         self.total_kills += 1
         return True
 

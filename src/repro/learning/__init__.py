@@ -8,7 +8,10 @@ Example 2), correlation scoring and Bayesian networks (correlation
 analysis, Example 3).
 
 No third-party ML library is used; everything here is implemented from
-scratch on top of numpy, deterministic and seedable.
+scratch on top of numpy, deterministic and seedable.  The one exception
+is the χ² survival function: :func:`chi2_sf` imports scipy's
+regularized incomplete gamma inside the function, so importing this
+package does not load scipy.
 """
 
 from repro.learning.adaboost import AdaBoostClassifier

@@ -4,16 +4,25 @@ Example 2 detects EJB misbehavior by comparing current-window call
 distributions against a baseline window: "Deviation can be detected,
 e.g., using the chi-squared statistical test; see [4]."  The tests here
 implement goodness-of-fit (current counts vs. baseline proportions) and
-independence (contingency tables), with the survival function delegated
-to scipy's regularized incomplete gamma.
+independence (contingency tables).
+
+Ranking callers needs only the statistic, so :func:`chi2_statistic`
+stands alone and numpy is this module's only import.  The survival
+function is delegated to scipy's regularized incomplete gamma, which
+:func:`chi2_sf` imports when first called: a process that never asks
+for a p-value never loads scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
-__all__ = ["chi2_goodness_of_fit", "chi2_independence", "chi2_sf"]
+__all__ = [
+    "chi2_goodness_of_fit",
+    "chi2_independence",
+    "chi2_sf",
+    "chi2_statistic",
+]
 
 
 def chi2_sf(statistic: float, dof: int) -> float:
@@ -26,13 +35,15 @@ def chi2_sf(statistic: float, dof: int) -> float:
         raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
     if statistic < 0:
         raise ValueError(f"statistic must be >= 0, got {statistic}")
+    from scipy import special
+
     return float(special.gammaincc(dof / 2.0, statistic / 2.0))
 
 
-def chi2_goodness_of_fit(
+def chi2_statistic(
     observed: np.ndarray, expected_proportions: np.ndarray
-) -> tuple[float, float]:
-    """Test whether observed counts follow baseline proportions.
+) -> tuple[float, int]:
+    """Goodness-of-fit statistic of observed counts against proportions.
 
     Args:
         observed: current-window counts per category (e.g. calls from
@@ -41,10 +52,10 @@ def chi2_goodness_of_fit(
             categories; will be renormalized.
 
     Returns:
-        ``(statistic, p_value)``.  Categories whose expected count is
-        zero are excluded (they carry no baseline information); if
-        fewer than two categories remain, the test degenerates to
-        "no deviation" ``(0.0, 1.0)``.
+        ``(statistic, dof)``.  Categories whose expected count is zero
+        are excluded (they carry no baseline information); if fewer
+        than two categories remain, the test degenerates to "no
+        deviation" and ``(0.0, 0)`` is returned.
     """
     observed = np.asarray(observed, dtype=float)
     expected_proportions = np.asarray(expected_proportions, dtype=float)
@@ -58,17 +69,30 @@ def chi2_goodness_of_fit(
     total = observed.sum()
     prop_total = expected_proportions.sum()
     if total == 0 or prop_total == 0:
-        return 0.0, 1.0
+        return 0.0, 0
     expected = expected_proportions / prop_total * total
 
     keep = expected > 0
     observed = observed[keep]
     expected = expected[keep]
     if observed.size < 2:
-        return 0.0, 1.0
+        return 0.0, 0
 
     statistic = float(np.sum((observed - expected) ** 2 / expected))
-    dof = observed.size - 1
+    return statistic, observed.size - 1
+
+
+def chi2_goodness_of_fit(
+    observed: np.ndarray, expected_proportions: np.ndarray
+) -> tuple[float, float]:
+    """Test whether observed counts follow baseline proportions.
+
+    Takes :func:`chi2_statistic`'s arguments and returns ``(statistic,
+    p_value)``; its degenerate case is "no deviation" ``(0.0, 1.0)``.
+    """
+    statistic, dof = chi2_statistic(observed, expected_proportions)
+    if dof == 0:
+        return 0.0, 1.0
     return statistic, chi2_sf(statistic, dof)
 
 

@@ -20,7 +20,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.learning.chi2 import chi2_goodness_of_fit
+from repro.learning.chi2 import chi2_sf, chi2_statistic
 
 __all__ = ["CallMatrixTracer"]
 
@@ -139,10 +139,17 @@ class CallMatrixTracer:
             alone cannot see (zero current counts carry no split
             information).
         """
+        statistic, dof, volume_log_ratio = self._anomaly(caller)
+        p_value = chi2_sf(statistic, dof) if dof else 1.0
+        return statistic, p_value, volume_log_ratio
+
+    def _anomaly(self, caller: str) -> tuple[float, int, float]:
+        """``caller_anomaly`` with the degrees of freedom in place of
+        the p-value, which ranking never reads."""
         i = self.caller_names.index(caller)
         baseline_row = self._baseline_sum()[i]
         current_row = self._current_sum()[i]
-        statistic, p_value = chi2_goodness_of_fit(current_row, baseline_row)
+        statistic, dof = chi2_statistic(current_row, baseline_row)
 
         baseline_ticks = max(1, len(self._history) - self.current_window)
         expected_per_tick = baseline_row.sum() / baseline_ticks
@@ -150,7 +157,7 @@ class CallMatrixTracer:
         volume_log_ratio = math.log(
             (current_per_tick + 1.0) / (expected_per_tick + 1.0)
         )
-        return statistic, p_value, volume_log_ratio
+        return statistic, dof, volume_log_ratio
 
     def most_anomalous_caller(self) -> tuple[str | None, float]:
         """The bean misbehaving most as a caller, with its score.
@@ -163,7 +170,7 @@ class CallMatrixTracer:
         for caller in self.callers_with_traffic():
             if caller not in self.callee_names:
                 continue  # skip the servlet pseudo-caller
-            statistic, _, volume = self.caller_anomaly(caller)
+            statistic, _, volume = self._anomaly(caller)
             score = max(statistic, 40.0 * abs(volume))
             if score > best_score:
                 best_name, best_score = caller, score

@@ -108,7 +108,7 @@ class TestHungTransactions:
         locks.register_hung_transaction(HungTransaction("T1", "items", 0))
         wait = locks.block_waiters(now=1)
         assert wait > 0
-        assert locks.wait_for.number_of_nodes() > 1
+        assert len(locks.wait_for) > 1
 
     def test_two_hung_on_same_table_deadlock(self):
         locks = LockManager(rubis_schema())
@@ -130,7 +130,7 @@ class TestHungTransactions:
         locks.register_hung_transaction(HungTransaction("T1", "items", 0))
         locks.block_waiters(now=1)
         assert locks.kill_transaction("T1")
-        assert locks.wait_for.number_of_nodes() == 0
+        assert len(locks.wait_for) == 0
         assert not locks.kill_transaction("T1")  # already gone
 
     def test_kill_longest_running_picks_oldest(self):
@@ -151,4 +151,4 @@ class TestHungTransactions:
         locks.block_waiters(now=1)
         locks.clear()
         assert locks.hung_transactions == []
-        assert locks.wait_for.number_of_nodes() == 0
+        assert len(locks.wait_for) == 0

@@ -95,8 +95,8 @@ def _state_bits(engine: DatabaseEngine):
                 for p in engine.buffers.pools.values()
             ],
             list(engine._last_traffic),
-            sorted(engine.locks.wait_for.nodes),
-            sorted(engine.locks.wait_for.edges),
+            sorted(engine.locks.wait_for),
+            sorted((a, b) for a, bs in engine.locks.wait_for.items() for b in bs),
             engine.locks.total_deadlocks_detected,
         ]
     )

@@ -1,8 +1,9 @@
-"""Every third-party package ``src/repro`` imports is declared.
+"""``setup.py`` declares exactly what ``src/repro`` imports.
 
 CI installs ``requirements-ci.txt`` and users install ``setup.py``'s
 ``install_requires``; an import missing from either works wherever the
-package happens to be installed and fails on a clean machine.  The
+package happens to be installed and fails on a clean machine, and a
+declared package nothing imports is installed for nothing.  The
 imports are read with :mod:`ast`, so optional or lazily imported
 modules count too.
 """
@@ -11,8 +12,12 @@ from __future__ import annotations
 
 import ast
 import re
+import runpy
 import sys
+import types
 from pathlib import Path
+
+import repro
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,6 +74,24 @@ def test_third_party_imports_are_in_install_requires():
         if name not in _install_requires()
     }
     assert not missing, f"imported but not in install_requires: {missing}"
+
+
+def test_install_requires_are_all_imported():
+    imports = _top_level_imports(_ROOT / "src" / "repro")
+    unused = _install_requires() - set(imports)
+    assert not unused, f"in install_requires but never imported: {unused}"
+
+
+def test_setup_version_is_the_package_version(monkeypatch):
+    """Runs setup.py against a stand-in ``setuptools`` that records the
+    keywords ``setup()`` receives, so no build happens."""
+    kwargs = {}
+    setuptools = types.ModuleType("setuptools")
+    setuptools.setup = lambda **given: kwargs.update(given)
+    setuptools.find_packages = lambda *args, **kw: []
+    monkeypatch.setitem(sys.modules, "setuptools", setuptools)
+    runpy.run_path(str(_ROOT / "setup.py"))
+    assert kwargs["version"] == repro.__version__
 
 
 def test_install_requires_are_pinned_for_ci():
