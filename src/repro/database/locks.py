@@ -16,7 +16,7 @@ Two Table 1 failure modes live here:
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.database.schema import Table
 
@@ -59,13 +59,15 @@ class HungTransaction:
         started_at: tick when it appeared.
         victims_per_tick: how many normal transactions it blocks each
             tick while alive.
+        blocked: sessions blocked behind it so far, ``victims_per_tick``
+            more each tick it stays hung.
     """
 
     txn_id: str
     table: str
     started_at: int
     victims_per_tick: int = 8
-    waiters: list[str] = field(default_factory=list)
+    blocked: int = 0
 
 
 class LockManager:
@@ -153,9 +155,11 @@ class LockManager:
         """Accumulate one tick of blocking behind hung transactions.
 
         Returns the total lock-wait milliseconds inflicted this tick.
-        Waiters are added to the wait-for graph; a second hung
-        transaction waiting on the first's table creates the cycle
-        that :meth:`detect_deadlocks` reports.
+        Each hung transaction counts the sessions it blocks; they wait
+        on it and nothing waits on them, so they stay out of the
+        wait-for graph.  A second hung transaction waiting on the
+        first's table creates the cycle that :meth:`detect_deadlocks`
+        reports.
         """
         if not self._hung:
             return 0.0
@@ -163,10 +167,7 @@ class LockManager:
         wait_ms = 0.0
         hung_list = list(self._hung.values())
         for txn in hung_list:
-            for i in range(txn.victims_per_tick):
-                waiter = f"{txn.txn_id}/waiter{now}.{i}"
-                txn.waiters.append(waiter)
-                wait_for.setdefault(waiter, set()).add(txn.txn_id)
+            txn.blocked += txn.victims_per_tick
             wait_ms += txn.victims_per_tick * self.HUNG_WAIT_MS
         # Hung transactions on the same table mutually wait — cycle.
         for i, a in enumerate(hung_list):
@@ -179,12 +180,8 @@ class LockManager:
     def detect_deadlocks(self) -> list[list[str]]:
         """Cycles in the wait-for graph (each is a deadlock).
 
-        Waiter nodes only ever have outbound edges (nothing waits *on*
-        a waiter), so every cycle is confined to hung-transaction
-        nodes.  Searching that induced subgraph — instead of the full
-        graph, which accumulates waiter nodes every tick a hang is
-        alive — keeps detection O(hung transactions) rather than
-        O(ticks hung).
+        The graph holds only hung-transaction nodes, so detection is
+        O(hung transactions) however long they have been hung.
         """
         if len(self._hung) < 2:
             return []
@@ -193,17 +190,14 @@ class LockManager:
         return deadlocks
 
     def kill_transaction(self, txn_id: str) -> bool:
-        """Abort one hung transaction, releasing its waiters.
+        """Abort one hung transaction, releasing the sessions it blocked.
 
         This is the "kill hung query" fix of Table 1.  Returns True if
         the transaction existed.
         """
-        txn = self._hung.pop(txn_id, None)
-        if txn is None:
+        if self._hung.pop(txn_id, None) is None:
             return False
         wait_for = self.wait_for
-        for waiter in txn.waiters:
-            wait_for.pop(waiter, None)
         wait_for.pop(txn_id, None)
         for other in self._hung:
             wait_for[other].discard(txn_id)

@@ -41,7 +41,9 @@ def pairwise_euclidean(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     Returns:
         ``(m, n)`` array where entry ``[i, j]`` is the distance from
         ``queries[i]`` to ``points[j]``.  Uses the expanded quadratic
-        form so the whole computation stays vectorized.
+        form so the whole computation stays vectorized.  Squares of
+        values above about 1e154 overflow that form; the entries it
+        leaves non-finite are recomputed from scaled differences.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -50,10 +52,30 @@ def pairwise_euclidean(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
             f"dimension mismatch: points d={points.shape[1]}, "
             f"queries d={queries.shape[1]}"
         )
-    p_sq = np.sum(points**2, axis=1)
-    q_sq = np.sum(queries**2, axis=1)
-    cross = queries @ points.T
-    sq = q_sq[:, None] + p_sq[None, :] - 2.0 * cross
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_sq = np.sum(points**2, axis=1)
+        q_sq = np.sum(queries**2, axis=1)
+        cross = queries @ points.T
+        sq = q_sq[:, None] + p_sq[None, :] - 2.0 * cross
     # Numerical noise can push tiny distances below zero.
     np.maximum(sq, 0.0, out=sq)
-    return np.sqrt(sq)
+    dist = np.sqrt(sq)
+    rows, cols = np.nonzero(~np.isfinite(dist))
+    if rows.size:
+        dist[rows, cols] = _scaled_distances(queries[rows], points[cols])
+    return dist
+
+
+def _scaled_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``|a - b|`` computed without overflow.
+
+    The halved differences cannot overflow, and dividing them by their
+    largest magnitude bounds every square by 1; only a distance beyond
+    the largest double comes out as ``inf``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = a / 2.0 - b / 2.0
+        scale = np.abs(half).max(axis=1)
+        scale[scale == 0.0] = 1.0  # identical rows: every difference is 0
+        unit = half / scale[:, None]
+        return 2.0 * scale * np.sqrt(np.sum(unit * unit, axis=1))

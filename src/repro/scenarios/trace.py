@@ -22,6 +22,11 @@ Design notes:
   the reader refuses header seeds and thresholds that did not decode
   to integers (orjson reads integers outside ``[-2**63, 2**64)`` as
   floats).
+* A trace streams through both ends one line at a time.  The
+  recorder writes and hashes its buffered lines one by one at close;
+  the loader keeps each tick record as its raw line, and
+  :meth:`ReplayService.step` decodes a record only when the replay
+  reaches it, so a malformed tick raises ``ValueError`` at that tick.
 * Replay is *open-loop*: fix applications are no-ops because their
   effects are already baked into the recorded telemetry.  A
   :class:`ReplayService` stands in for the simulator, and a
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -54,6 +60,7 @@ __all__ = [
     "TraceExhausted",
     "TraceRecorder",
     "load_trace",
+    "tick_payload",
     "trace_sha256",
 ]
 
@@ -75,6 +82,13 @@ _NO_DEFAULT_FIELDS = [
     for f in dataclasses.fields(TickSnapshot)
     if f.default is dataclasses.MISSING
 ]
+# The writer's tick record, keys sorted:
+# {"member":<int>,"s":{...snapshot...},"type":"tick"}
+_TICK_HEAD = b'{"member":'
+_TICK_SNAPSHOT = b',"s":'
+_TICK_TAILS = (b',"type":"tick"}\n', b',"type":"tick"}')
+# Block size of the trace writer's file buffer and of trace hashing.
+_IO_BLOCK = 1 << 20
 
 
 def _json_default(obj):
@@ -255,24 +269,31 @@ class TraceRecorder:
         )
 
     def close(self) -> str:
-        """Write the trace; returns its sha256 hex digest."""
+        """Write the trace line by line; returns its sha256 hex digest."""
         if self._closed:
             raise RuntimeError("trace recorder already closed")
         self._closed = True
         header = dict(self._header or {"type": "header", "version": TRACE_VERSION})
         header["caller_names"] = self._caller_names or []
         header["callee_names"] = self._callee_names or []
-        lines = [_dumps(header)] + self._lines
-        blob = ("\n".join(lines) + "\n").encode("utf-8")
-        with open(self.path, "wb") as handle:
-            handle.write(blob)
-        return hashlib.sha256(blob).hexdigest()
+        digest = hashlib.sha256()
+        # A 1 MiB buffer, not the default 8 KiB, makes the line-by-line
+        # writes cheaper than one write of the joined text.
+        with open(self.path, "wb", buffering=_IO_BLOCK) as handle:
+            for line in itertools.chain([_dumps(header)], self._lines):
+                data = (line + "\n").encode("utf-8")
+                handle.write(data)
+                digest.update(data)
+        return digest.hexdigest()
 
 
 def trace_sha256(path: str) -> str:
-    """sha256 hex digest of a trace file's bytes."""
+    """sha256 hex digest of a trace file's bytes, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
+        while block := handle.read(_IO_BLOCK):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 class RecordingInjector(FaultInjector):
@@ -315,9 +336,13 @@ class RecordingInjector(FaultInjector):
 
 @dataclass
 class _MemberTrace:
-    """One member's slice of a loaded trace."""
+    """One member's slice of a loaded trace.
 
-    ticks: list[dict]
+    ``ticks`` holds each tick record as its raw line, undecoded; read
+    one with :func:`tick_payload`.
+    """
+
+    ticks: list[bytes]
     faults: list["ReplayFault"]
     fixes: list[dict]
     absorbs: list[dict]
@@ -348,26 +373,48 @@ def _check_header_ints(path: str, header: dict) -> None:
             )
 
 
+def tick_payload(raw: bytes) -> dict:
+    """Decode one raw tick record into its snapshot payload."""
+    return orjson.loads(raw)["s"]
+
+
 def load_trace(path: str) -> tuple[dict, dict[int, _MemberTrace]]:
     """Parse a trace file into its header and per-member slices.
 
-    Each line is decoded on its own with orjson: one call over the
-    whole file is no faster and holds every line's text at once.
+    One pass over the file, one line at a time.  A tick record in the
+    writer's canonical form is routed by the member number its prefix
+    carries and kept as raw bytes, undecoded until the replay reaches
+    it (:func:`tick_payload`).  Every other line is decoded with
+    orjson here; a tick record in another form is decoded to route it
+    and kept raw as well.
     """
     header: dict | None = None
     members: dict[int, _MemberTrace] = {}
 
-    def member_of(line: dict) -> _MemberTrace:
-        index = int(line.get("member", 0))
+    def member_of(index: int) -> _MemberTrace:
         if index not in members:
             members[index] = _MemberTrace(
                 ticks=[], faults=[], fixes=[], absorbs=[]
             )
         return members[index]
 
+    def no_header() -> ValueError:
+        return ValueError(f"{path}: not a trace file (no header line)")
+
     faults_by_key: dict[tuple[int, int], ReplayFault] = {}
+    head = len(_TICK_HEAD)
     with open(path, "rb") as handle:
         for raw in handle:
+            if raw.startswith(_TICK_HEAD) and raw.endswith(_TICK_TAILS):
+                # Anything but ASCII digits before ',"s":' (or no
+                # ',"s":' at all, when find's -1 leaves the rest of the
+                # line) sends the line to the decoder below.
+                digits = raw[head : raw.find(_TICK_SNAPSHOT, head)]
+                if digits.isdigit():
+                    if header is None:
+                        raise no_header()
+                    member_of(int(digits)).ticks.append(raw)
+                    continue
             if raw.isspace():
                 continue
             line = orjson.loads(raw)
@@ -377,37 +424,34 @@ def load_trace(path: str) -> tuple[dict, dict[int, _MemberTrace]]:
                 header = line
                 continue
             if header is None:
-                raise ValueError(
-                    f"{path}: not a trace file (no header line)"
-                )
+                raise no_header()
+            index = int(line.get("member", 0))
             if kind == "tick":
-                member_of(line).ticks.append(line["s"])
+                member_of(index).ticks.append(raw)
             elif kind == "inject":
-                slot = member_of(line)
                 fault = ReplayFault(
                     kind=line["kind"],
                     category=line["category"],
                     canonical_fix=line["canonical_fix"],
                     injected_at=int(line["t"]),
                 )
-                slot.faults.append(fault)
-                faults_by_key[(int(line.get("member", 0)), line["id"])] = fault
+                member_of(index).faults.append(fault)
+                faults_by_key[(index, line["id"])] = fault
             elif kind == "clear":
-                key = (int(line.get("member", 0)), line["id"])
-                fault = faults_by_key.get(key)
+                fault = faults_by_key.get((index, line["id"]))
                 if fault is not None:
                     fault.cleared_at = int(line["t"])
                     fault.cleared_by = line["by"]
             elif kind == "fix":
-                member_of(line).fixes.append(line)
+                member_of(index).fixes.append(line)
             elif kind == "absorb":
-                member_of(line).absorbs.append(line)
+                member_of(index).absorbs.append(line)
             elif kind == "summary":
-                slot = member_of(line)
+                slot = member_of(index)
                 slot.injected = int(line["injected"])
                 slot.undetected = int(line["undetected"])
     if header is None:
-        raise ValueError(f"{path}: not a trace file (no header line)")
+        raise no_header()
     return header, members
 
 
@@ -476,7 +520,8 @@ class _ReplayContainer:
 class ReplayService:
     """Stands in for :class:`MultitierService` during replay.
 
-    ``step()`` pops recorded snapshots; every recovery mechanism is a
+    ``step()`` decodes the next recorded tick and rebuilds its
+    snapshot; every recovery mechanism is a
     no-op whose observable effects are already baked into the recorded
     telemetry.  Fixes that return recorded values (hung-query victim,
     repartitioned table) resolve them from the shared fix cursor so
@@ -485,7 +530,7 @@ class ReplayService:
 
     def __init__(
         self,
-        ticks: list[dict],
+        ticks: list[bytes],
         fix_cursor: _FixCursor,
         caller_names: list[str],
         callee_names: list[str],
@@ -518,10 +563,10 @@ class ReplayService:
             raise TraceExhausted(
                 f"trace exhausted after {len(self._ticks)} ticks"
             )
-        payload = self._ticks[self._pos]
+        raw = self._ticks[self._pos]
         self._pos += 1
         snapshot = snapshot_from_payload(
-            payload, self._caller_names, self._callee_names
+            tick_payload(raw), self._caller_names, self._callee_names
         )
         self.tick = snapshot.tick + 1
         self.last_snapshot = snapshot

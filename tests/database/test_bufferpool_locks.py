@@ -105,10 +105,14 @@ class TestLockContention:
 class TestHungTransactions:
     def test_blocking_accumulates_waiters(self):
         locks = LockManager(rubis_schema())
-        locks.register_hung_transaction(HungTransaction("T1", "items", 0))
-        wait = locks.block_waiters(now=1)
-        assert wait > 0
-        assert len(locks.wait_for) > 1
+        txn = HungTransaction("T1", "items", 0)
+        locks.register_hung_transaction(txn)
+        for now in (1, 2, 3):
+            wait = locks.block_waiters(now=now)
+            assert wait > 0
+            assert txn.blocked == now * txn.victims_per_tick
+        # Blocked sessions are counted, not added to the wait-for graph.
+        assert set(locks.wait_for) == {"T1"}
 
     def test_two_hung_on_same_table_deadlock(self):
         locks = LockManager(rubis_schema())

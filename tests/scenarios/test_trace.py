@@ -15,6 +15,7 @@ from repro.scenarios import (
     run_scenario,
     trace_sha256,
 )
+from repro.scenarios.trace import tick_payload
 
 # Small-but-real campaign shape shared by the round-trip tests.
 SCENARIO = "retry_storm"
@@ -94,7 +95,7 @@ class TestSingleServiceRoundTrip:
         assert member.injected == run.result.injected
         assert len(member.faults) == run.result.injected
         # Every recorded tick is strictly sequential from zero.
-        assert [t["tick"] for t in member.ticks] == list(
+        assert [tick_payload(t)["tick"] for t in member.ticks] == list(
             range(len(member.ticks))
         )
 

@@ -31,6 +31,7 @@ from repro.scenarios.trace import (
     TraceRecorder,
     _dumps,
     snapshot_from_payload,
+    tick_payload,
 )
 from repro.simulator.service import TickSnapshot
 from tests.scenarios.reference_trace import (
@@ -102,7 +103,8 @@ class TestMatchesReferenceReader:
                 ref.injected,
                 ref.undetected,
             )
-            assert _bits(member.ticks) == _bits(ref.ticks)
+            payloads = [tick_payload(raw) for raw in member.ticks]
+            assert _bits(payloads) == _bits(ref.ticks)
         # Neither trace may pass vacuously.
         assert all(m.ticks and m.faults and m.fixes for m in members.values())
         if header["kind"] == "fleet":
@@ -116,7 +118,7 @@ class TestMatchesReferenceReader:
         for index, member in members.items():
             snapshots = [
                 snapshot_from_payload(payload, callers, callees)
-                for payload in member.ticks
+                for payload in map(tick_payload, member.ticks)
             ]
             expected = [
                 reference_snapshot(
@@ -154,7 +156,7 @@ class TestSnapshotPayloads:
     @pytest.fixture
     def payload(self, single_trace):
         _, members = load_trace(single_trace)
-        return dict(members[0].ticks[0])
+        return tick_payload(members[0].ticks[0])
 
     def test_absent_fields_take_their_defaults(self, payload):
         for name in ("timeouts", "per_type_latency_ms", "call_matrix"):
