@@ -3,41 +3,8 @@
 Each module exposes a ``run_*`` function returning plain dataclasses /
 dicts, and a ``format_*`` helper printing the same rows/series the
 paper reports side by side with the measured values.  The benchmarks in
-``benchmarks/`` are thin wrappers around these.
+``benchmarks/`` are thin wrappers around these.  Import the harness
+module itself (``repro.experiments.figure4``, ...): this package
+re-exports nothing, so the campaign engine every process imports does
+not load the figure and table harnesses with it.
 """
-
-from repro.experiments.campaign import CampaignResult, run_campaign
-from repro.experiments.data import FailureEpisodeGenerator, generate_failure_dataset
-from repro.experiments.figure1 import Figure1Result, format_figure1, run_figure1
-from repro.experiments.figure2 import Figure2Result, format_figure2, run_figure2
-from repro.experiments.figure4 import (
-    Figure4Result,
-    format_figure4,
-    format_table3,
-    run_figure4,
-)
-from repro.experiments.table1 import Table1Result, format_table1, run_table1
-from repro.experiments.table2 import Table2Result, format_table2, run_table2
-
-__all__ = [
-    "CampaignResult",
-    "FailureEpisodeGenerator",
-    "Figure1Result",
-    "Figure2Result",
-    "Figure4Result",
-    "Table1Result",
-    "Table2Result",
-    "format_figure1",
-    "format_figure2",
-    "format_figure4",
-    "format_table1",
-    "format_table2",
-    "format_table3",
-    "generate_failure_dataset",
-    "run_campaign",
-    "run_figure1",
-    "run_figure2",
-    "run_figure4",
-    "run_table1",
-    "run_table2",
-]

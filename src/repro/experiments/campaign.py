@@ -22,7 +22,7 @@ from repro.core.approaches.base import FixIdentifier
 from repro.faults.base import Fault
 from repro.faults.injector import FaultInjector
 from repro.faults.scenarios import sample_fault_for_category
-from repro.healing.loop import SelfHealingLoop, drive_ticks
+from repro.healing.loop import SelfHealingLoop
 from repro.healing.report import EpisodeReport
 from repro.simulator.config import ServiceConfig
 from repro.simulator.rng import derive_rng
@@ -35,11 +35,8 @@ __all__ = [
     "CampaignResult",
     "run_campaign",
     "run_episode",
-    "run_episode_gen",
     "run_slots",
-    "run_slots_gen",
     "settle",
-    "settle_gen",
 ]
 
 
@@ -104,14 +101,9 @@ def settle(
     (windowed approaches would otherwise observe a gap between
     episodes).
     """
-    drive_ticks(loop, settle_gen(settle_ticks, max_ticks))
-
-
-def settle_gen(settle_ticks: int, max_ticks: int = 400):
-    """Generator form of :func:`settle` (one ``yield`` per tick)."""
     streak = 0
     for _ in range(max_ticks):
-        snapshot, _ = yield
+        snapshot, _ = loop.step_once()
         streak = streak + 1 if not snapshot.slo_violated else 0
         if streak >= settle_ticks:
             break
@@ -134,28 +126,6 @@ def run_episode(
     start from a refreshed baseline either way.  Returns True when a
     report was produced.
     """
-    return drive_ticks(
-        loop,
-        run_episode_gen(
-            loop,
-            injector,
-            fault,
-            result,
-            max_episode_wait=max_episode_wait,
-            settle_ticks=settle_ticks,
-        ),
-    )
-
-
-def run_episode_gen(
-    loop: SelfHealingLoop,
-    injector: FaultInjector,
-    fault: Fault,
-    result: CampaignResult,
-    max_episode_wait: int = 150,
-    settle_ticks: int = 30,
-):
-    """Generator form of :func:`run_episode` (one ``yield`` per tick)."""
     service = loop.service
     injector.inject(fault, service.tick)
     result.injected += 1
@@ -165,7 +135,7 @@ def run_episode_gen(
     reports_before = len(loop.reports)
     waited = 0
     while len(loop.reports) == reports_before and waited < max_episode_wait:
-        yield from loop.run_gen(5)
+        loop.run(5)
         waited += 5
     detected = len(loop.reports) > reports_before
     if not detected:
@@ -185,7 +155,7 @@ def run_episode_gen(
             injector.clear_all(service.tick, cleared_by="posthoc-cleanup")
 
     # Let the service settle (and baselines refresh) between episodes.
-    yield from settle_gen(settle_ticks)
+    settle(loop, settle_ticks)
     return detected
 
 
@@ -205,35 +175,13 @@ def run_slots(
     whole round of slots with no coordinator round-trips in between.
     Returns the number of non-empty slots (episodes) run.
     """
-    return drive_ticks(
-        loop,
-        run_slots_gen(
-            loop,
-            injector,
-            slots,
-            result,
-            max_episode_wait=max_episode_wait,
-            settle_ticks=settle_ticks,
-        ),
-    )
-
-
-def run_slots_gen(
-    loop: SelfHealingLoop,
-    injector: FaultInjector,
-    slots: list[Fault | None],
-    result: CampaignResult,
-    max_episode_wait: int = 150,
-    settle_ticks: int = 30,
-):
-    """Generator form of :func:`run_slots` (one ``yield`` per tick)."""
     episodes = 0
     for fault in slots:
         if fault is None:
-            yield from settle_gen(settle_ticks, max_ticks=settle_ticks * 2)
+            settle(loop, settle_ticks, max_ticks=settle_ticks * 2)
             continue
         episodes += 1
-        yield from run_episode_gen(
+        run_episode(
             loop,
             injector,
             fault,

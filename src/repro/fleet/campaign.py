@@ -606,30 +606,6 @@ def _regroup_contributions(
     return flat, lengths, sources, fix_codes, origin_codes
 
 
-def _fill_host_base(
-    knowledge: SharedKnowledgeBase,
-    log: KnowledgeLogSegment,
-    vocab_words: tuple[str, ...],
-) -> None:
-    """Copy the whole shared log into the coordinator's host base.
-
-    One coded-column append: the transport's string codes copy
-    straight through.  Scoping the segment views to this function
-    keeps them from pinning the shared buffer past teardown.
-    """
-    sources, fix_codes, origin_codes, bounds, data = log.read_entries(
-        0, log.published
-    )
-    knowledge.contribute_batch_coded(
-        data[: int(bounds[-1])],
-        np.diff(bounds),
-        sources,
-        fix_codes,
-        origin_codes,
-        vocab_words,
-    )
-
-
 def run_fleet_campaign(
     n_services: int = 4,
     episodes_per_service: int = 8,
@@ -779,7 +755,6 @@ def run_fleet_campaign(
         hub = TelemetryHub()
         member_kwargs["telemetry"] = True
 
-    knowledge = SharedKnowledgeBase(enabled=share_knowledge)
     balancer = FleetLoadBalancer(
         n_services, spill_fraction=spill_fraction
     )
@@ -800,7 +775,7 @@ def run_fleet_campaign(
 
     use_workers = workers > 1 and n_services > 1
     if use_workers:
-        campaigns, absorbed_total, events_by_member, shard_perf = (
+        campaigns, published, absorbed_total, events_by_member, shard_perf = (
             _run_sharded(
                 n_services=n_services,
                 workers=workers,
@@ -812,7 +787,7 @@ def run_fleet_campaign(
                 n_rounds=n_rounds,
                 episodes_per_round=episodes_per_round,
                 n_slots=n_slots,
-                knowledge=knowledge,
+                share_knowledge=share_knowledge,
                 balancer=balancer,
                 barrier_timeout=barrier_timeout,
                 profile_dir=profile_dir,
@@ -820,6 +795,7 @@ def run_fleet_campaign(
                 round_lags=round_lags,
             )
         )
+        published_entries, published_bytes = published
         barrier_wait_s = shard_perf["barrier_wait_s"]
         dispatch_wait_s = shard_perf["dispatch_wait_s"]
         merge_s = shard_perf["merge_s"]
@@ -850,6 +826,7 @@ def run_fleet_campaign(
                     "db": members[0].service.db.capacity,
                 },
             )
+        knowledge = SharedKnowledgeBase(enabled=share_knowledge)
         cursors = [0] * n_services
         for round_index in range(n_rounds):
             lo = round_index * episodes_per_round
@@ -895,6 +872,8 @@ def run_fleet_campaign(
                     downtime=downtime,
                 )
         campaigns = [member.result for member in members]
+        published_entries = knowledge.n_entries
+        published_bytes = knowledge.data_bytes
         if hub is not None:
             member_event_streams = [
                 member.telemetry.events for member in members
@@ -911,8 +890,8 @@ def run_fleet_campaign(
         hub.emit(
             "fleet_end",
             rounds=n_rounds,
-            entries=knowledge.n_entries,
-            bytes=knowledge.data_bytes,
+            entries=published_entries,
+            bytes=published_bytes,
             absorbed=absorbed_total,
         )
         from repro.telemetry import dump_events
@@ -938,8 +917,8 @@ def run_fleet_campaign(
         "workers": min(workers, n_services) if use_workers else 1,
         "rounds": n_rounds,
         "knowledge": {
-            "published_entries": knowledge.n_entries,
-            "published_bytes": knowledge.data_bytes,
+            "published_entries": published_entries,
+            "published_bytes": published_bytes,
             "absorbed_entries": absorbed_total,
         },
         "watermark_lag": {
@@ -962,7 +941,7 @@ def run_fleet_campaign(
         seed=seed,
         workers=workers,
         share_knowledge=share_knowledge,
-        knowledge_entries=knowledge.n_entries,
+        knowledge_entries=published_entries,
         knowledge_absorbed=absorbed_total,
         wall_clock_s=time.perf_counter() - started,
         scenario=scenario_name,
@@ -986,13 +965,15 @@ def _run_sharded(
     n_rounds: int,
     episodes_per_round: int,
     n_slots: int,
-    knowledge: SharedKnowledgeBase,
+    share_knowledge: bool,
     balancer: FleetLoadBalancer,
     barrier_timeout: float,
     profile_dir: str | None,
     hub,
     round_lags: list[int],
-) -> tuple[list[CampaignResult], int, dict[int, list[dict]], dict]:
+) -> tuple[
+    list[CampaignResult], tuple[int, int], int, dict[int, list[dict]], dict
+]:
     """The coordinator of the sharded executor: a round barrier.
 
     After a one-time handshake, each round:
@@ -1009,10 +990,9 @@ def _run_sharded(
 
     Every member therefore absorbs everything merged before its round,
     with the serial runner's watermarks, merge order and telemetry.
-
-    Nothing reads the coordinator's :class:`SharedKnowledgeBase`
-    before the campaign ends, so it is filled once from the shared
-    log after the last round.
+    The coordinator keeps no knowledge base of its own: the published
+    entry count and symptom bytes it returns are read off the shared
+    log.
     """
     vocab_words = _transport_vocab()
     absorbed_total = 0
@@ -1150,7 +1130,7 @@ def _run_sharded(
                 n_services,
                 balancer,
                 log,
-                knowledge.enabled,
+                share_knowledge,
             )
             merge_s += time.perf_counter() - merge_started
             absorbed_total += absorbed
@@ -1167,9 +1147,12 @@ def _run_sharded(
                     downtime=downtime,
                 )
 
-        merge_started = time.perf_counter()
-        _fill_host_base(knowledge, log, vocab_words)
-        merge_s += time.perf_counter() - merge_started
+        # The symptom payload is float64 and the bounds are offsets
+        # into it, so the last published offset times 8 is its size.
+        published_entries = log.published
+        published_bytes = (
+            int(log.read_entries(0, published_entries)[3][-1]) * 8
+        )
 
         per_service: dict[int, CampaignResult] = {}
         events_by_member: dict[int, list[dict]] = {}
@@ -1185,6 +1168,7 @@ def _run_sharded(
             dispatch_wait_s.append(float(payload["dispatch_wait_s"]))
         return (
             [per_service[i] for i in range(n_services)],
+            (published_entries, published_bytes),
             absorbed_total,
             events_by_member,
             {

@@ -16,14 +16,13 @@ switch turns the whole mechanism off for the sharing ablation.
 
 Storage is *columnar*: symptom vectors live in one flat float64 region
 with per-entry offsets, sources in an int64 column, and fix kinds /
-origins as coded columns over a growable vocabulary.  A whole round of
-contributions merges with one vectorized copy per column — the fleet
-coordinator's barrier merge
-(:meth:`SharedKnowledgeBase.contribute_batch_coded`) passes the
-transport's pre-coded string columns straight through, so it does no
-per-entry Python work at all — and :class:`KnowledgeEntry` objects are
-materialized lazily, only for the foreign entries a replica actually
-absorbs.
+origins as coded columns over a growable vocabulary.  A stacked block
+of contributions merges with one vectorized copy per column, and
+:class:`KnowledgeEntry` objects are materialized lazily, only for the
+foreign entries a replica actually absorbs.  This base serves the
+in-process fleet runner; the sharded runner's coordinator keeps the
+same layout in the shared-memory log of :mod:`repro.fleet.transport`
+and no base of its own.
 """
 
 from __future__ import annotations
@@ -174,57 +173,8 @@ class SharedKnowledgeBase:
         """
         if not self.enabled or len(lengths) == 0:
             return 0
-        return self._append_columns(
-            flat,
-            lengths,
-            sources,
-            np.asarray([self._code(w) for w in fix_kinds], dtype=np.int64),
-            np.asarray([self._code(w) for w in origins], dtype=np.int64),
-        )
-
-    def contribute_batch_coded(
-        self,
-        flat: np.ndarray,
-        lengths: np.ndarray,
-        sources: np.ndarray,
-        fix_codes: np.ndarray,
-        origin_codes: np.ndarray,
-        words: tuple[str, ...],
-    ) -> int:
-        """Vectorized append of entries whose strings are pre-coded.
-
-        The fleet coordinator's barrier merge: the transport already
-        carries fix kinds and origins as indices into ``words``, and an
-        empty base adopts that vocabulary outright, so the codes copy
-        through as int64 columns — no per-entry Python work at all.
-        Falls back to the string path only if this base's vocabulary
-        has diverged from ``words`` (it cannot, within one campaign).
-        """
-        if not self.enabled or len(lengths) == 0:
-            return 0
-        if not self._vocab:
-            self._vocab = list(words)
-            self._vocab_index = {w: i for i, w in enumerate(words)}
-        if self._vocab[: len(words)] != list(words):
-            return self.contribute_batch(
-                flat,
-                lengths,
-                sources,
-                [words[int(c)] for c in fix_codes],
-                [words[int(c)] for c in origin_codes],
-            )
-        return self._append_columns(
-            flat, lengths, sources, fix_codes, origin_codes
-        )
-
-    def _append_columns(
-        self,
-        flat: np.ndarray,
-        lengths: np.ndarray,
-        sources: np.ndarray,
-        fix_codes: np.ndarray,
-        origin_codes: np.ndarray,
-    ) -> int:
+        fix_codes = [self._code(w) for w in fix_kinds]
+        origin_codes = [self._code(w) for w in origins]
         k = len(lengths)
         hi = self._n + k
         self._sources = self._grown(self._sources, hi)

@@ -33,30 +33,7 @@ __all__ = [
     "AttemptLedger",
     "HealingHarness",
     "SelfHealingLoop",
-    "drive_ticks",
 ]
-
-
-def drive_ticks(loop: "SelfHealingLoop", gen):
-    """Pump a tick generator with the loop's own observation pipeline.
-
-    The healing control flow (``heal``, ``run``, verification, the
-    campaign's episode/settle machinery) is written as generators:
-    every ``yield`` means "advance the world one tick and hand me the
-    ``(snapshot, event)`` pair".  This pump, the only one, satisfies
-    each request with :meth:`SelfHealingLoop.step_once`.  The generator
-    form stays because the benchmark's ``healing.verify`` span
-    (``perfbench/spans.py``) wraps :meth:`SelfHealingLoop._verify_gen`
-    as a generator to read each verification's outcome; folding the
-    control flow back into plain methods means moving that boundary
-    first.
-    """
-    try:
-        gen.send(None)
-        while True:
-            gen.send(loop.step_once())
-    except StopIteration as stop:
-        return stop.value
 
 
 class AttemptLedger:
@@ -240,16 +217,12 @@ class SelfHealingLoop:
 
     def warmup(self, ticks: int | None = None) -> None:
         """Run fault-free until the baseline is established."""
-        drive_ticks(self, self.warmup_gen(ticks))
-
-    def warmup_gen(self, ticks: int | None = None):
-        """Generator form of :meth:`warmup` (one ``yield`` per tick)."""
         ticks = ticks if ticks is not None else (
             self.harness.baseline.baseline_window
             + self.harness.baseline.current_window + 10
         )
         for _ in range(ticks):
-            yield
+            self.step_once()
         if not self.harness.baseline.ready:
             raise RuntimeError("baseline not ready after warmup")
 
@@ -259,18 +232,13 @@ class SelfHealingLoop:
         Episodes consume ticks from the same budget (healing happens in
         real time).  Returns the episode reports completed in this run.
         """
-        return drive_ticks(self, self.run_gen(ticks))
-
-    def run_gen(self, ticks: int):
-        """Generator form of :meth:`run` (one ``yield`` per tick)."""
         completed_before = len(self.reports)
         remaining = ticks
         while remaining > 0:
-            _, event = yield
+            _, event = self.step_once()
             remaining -= 1
             if event is not None:
-                used = yield from self.heal_gen(event)
-                remaining -= used
+                remaining -= self.heal(event)
         return self.reports[completed_before:]
 
     # ------------------------------------------------------------------
@@ -279,10 +247,6 @@ class SelfHealingLoop:
 
     def heal(self, event: FailureEvent) -> int:
         """Heal one failure; returns the number of ticks consumed."""
-        return drive_ticks(self, self.heal_gen(event))
-
-    def heal_gen(self, event: FailureEvent):
-        """Generator form of :meth:`heal` (one ``yield`` per tick)."""
         report = self._new_report(event)
         telemetry = self.telemetry
         if telemetry is not None:
@@ -306,9 +270,9 @@ class SelfHealingLoop:
             application = recommendation.build().apply(self.service, event)
             if self.injector is not None:
                 self.injector.apply_fix(application, self.service.tick)
-            ticks_used += yield from self._pay_gen(application.cost_ticks)
+            ticks_used += self._pay(application.cost_ticks)
             repaired_tick = self.service.tick
-            fixed, used = yield from self._verify_gen()
+            fixed, used = self._verify()
             ticks_used += used
             self.approach.observe_outcome(event, recommendation, fixed)
             report.applications.append(application)
@@ -332,14 +296,14 @@ class SelfHealingLoop:
             report.successful_fix = report.applications[-1].kind
             report.recovered_at = self.service.tick
         else:
-            ticks_used += yield from self._escalate_gen(event, report)
+            ticks_used += self._escalate(event, report)
 
         self.reports.append(report)
         if telemetry is not None:
             telemetry.episode_end(report)
         return ticks_used
 
-    def _escalate_gen(self, event: FailureEvent, report: EpisodeReport):
+    def _escalate(self, event: FailureEvent, report: EpisodeReport) -> int:
         """Figure 3 lines 18-20: restart, notify, learn the admin's fix."""
         report.escalated = True
         telemetry = self.telemetry
@@ -353,9 +317,9 @@ class SelfHealingLoop:
         if self.injector is not None:
             self.injector.apply_fix(restart, self.service.tick)
         report.applications.append(restart)
-        ticks_used += yield from self._pay_gen(restart.cost_ticks)
+        ticks_used += self._pay(restart.cost_ticks)
         repaired_tick = self.service.tick
-        fixed, used = yield from self._verify_gen()
+        fixed, used = self._verify()
         ticks_used += used
         report.outcomes.append(fixed)
         if telemetry is not None:
@@ -382,7 +346,7 @@ class SelfHealingLoop:
         notify = build_fix(NOTIFY_ADMIN).apply(self.service, event)
         report.applications.append(notify)
         report.outcomes.append(False)
-        ticks_used += yield from self._pay_gen(notify.cost_ticks)
+        ticks_used += self._pay(notify.cost_ticks)
         notified_tick = self.service.tick
         if telemetry is not None:
             telemetry.record_notify(
@@ -393,7 +357,7 @@ class SelfHealingLoop:
         # by hand (injector oracle).
         category = report.fault_category
         delay = self._sample_admin_delay(category)
-        ticks_used += yield from self._pay_gen(delay)
+        ticks_used += self._pay(delay)
         arrived_tick = self.service.tick
         if telemetry is not None:
             before_state = telemetry.capture_state(self.harness)
@@ -404,7 +368,7 @@ class SelfHealingLoop:
             )
             if cleared:
                 admin_fix = cleared[0].canonical_fix
-        fixed, used = yield from self._verify_gen()
+        fixed, used = self._verify()
         ticks_used += used
         report.admin_resolved = True
         if fixed:
@@ -429,10 +393,25 @@ class SelfHealingLoop:
     # Helpers.
     # ------------------------------------------------------------------
 
-    def _pay_gen(self, cost_ticks: int):
-        for _ in range(max(0, cost_ticks)):
-            yield
-        return max(0, cost_ticks)
+    def _pay(self, cost_ticks: int) -> int:
+        cost_ticks = max(0, cost_ticks)
+        for _ in range(cost_ticks):
+            self.step_once()
+        return cost_ticks
+
+    def _verify(self) -> tuple[bool, int]:
+        # The benchmark's ``healing.verify`` span (perfbench/spans.py)
+        # wraps ``_verify_gen`` on the class as a generator and reads
+        # its ``(fixed, used)`` return, so verification stays a
+        # generator, pumped here one step_once() per tick and looked
+        # up on ``self`` so the wrapper sees every call.
+        verify = self._verify_gen()
+        try:
+            verify.send(None)
+            while True:
+                verify.send(self.step_once())
+        except StopIteration as stop:
+            return stop.value
 
     def _verify_gen(self):
         """Check-fix: wait for sustained SLO compliance.

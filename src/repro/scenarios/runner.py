@@ -227,7 +227,7 @@ def _drive_replay(
     """Advance a replay loop to trace end, healing where the recording did.
 
     The recording campaign heals only inside an episode
-    (:func:`~repro.experiments.campaign.run_episode_gen`): from a
+    (:func:`~repro.experiments.campaign.run_episode`): from a
     fault's injection until the first heal after it completes, or until
     the episode gives up and clears that fault as ``undetected``.
     Warm-up and the settling between episodes step the loop without

@@ -12,8 +12,10 @@ from repro.faults.infra_faults import TierCapacityLossFault
 from repro.faults.injector import FaultInjector
 from repro.fixes.catalog import ALL_FIX_KINDS
 from repro.healing.loop import SelfHealingLoop
+from repro.scenarios.runner import run_scenario
 from repro.simulator.config import ServiceConfig
 from repro.simulator.service import MultitierService
+from repro.telemetry import load_events
 
 
 def _loop(approach, seed=11, threshold=5):
@@ -83,6 +85,47 @@ class TestHealing:
         assert report.recovery_ticks == (
             report.detection_ticks + report.repair_ticks
         )
+
+
+class TestVerifySeam:
+    """Every verification runs through ``SelfHealingLoop._verify_gen``.
+
+    perfbench's ``healing.verify`` span replaces that generator on the
+    class and reads its ``(fixed, used)`` return, and
+    ``healing.verify_ticks_mean`` is computed from what it reads.
+    """
+
+    def test_wrapper_sees_every_verify_phase(self, monkeypatch, tmp_path):
+        seen: list[tuple[bool, int]] = []
+        original = SelfHealingLoop._verify_gen
+
+        def counting(*args, **kwargs):
+            result = yield from original(*args, **kwargs)
+            seen.append(result)
+            return result
+
+        monkeypatch.setattr(SelfHealingLoop, "_verify_gen", counting)
+        events_path = tmp_path / "events.jsonl"
+        run_scenario(
+            "black_friday", seed=3, n_episodes=6, events_path=str(events_path)
+        )
+        _, events = load_events(str(events_path))
+        verifies = [
+            event
+            for event in events
+            if event["type"] == "phase" and event["phase"] == "verify"
+        ]
+        # Escalations verify the restart and the administrator's repair
+        # too, so the case covers all three call sites.
+        assert any(e["fix"] == "administrator" for e in verifies)
+        assert any(e["fix"] == "restart_service" for e in verifies)
+        assert len(seen) == len(verifies)
+        assert sum(used for _, used in seen) == sum(
+            event["end"] - event["start"] for event in verifies
+        )
+        assert [fixed for fixed, _ in seen] == [
+            event["success"] for event in verifies
+        ]
 
 
 class TestLoopValidation:

@@ -7,7 +7,9 @@ they load is paid at every start.  A fresh interpreter imports all
 three and drives the FixSym paths that once pulled in heavier
 libraries: ranking beans for a microreboot (the χ² statistic) and
 counting deadlocks (the wait-for graph).  A library that only a rarely
-taken path needs is imported inside that function instead.
+taken path needs is imported inside that function instead, and no
+package ``__init__`` on the way loads the paper's figure and table
+harnesses.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,6 +34,10 @@ bare = {name.split(".")[0] for name in sys.modules}
 import repro.experiments.campaign
 import repro.fleet.campaign
 import repro.scenarios.runner
+
+experiments = sorted(
+    name for name in sys.modules if name.startswith("repro.experiments.")
+)
 
 import numpy as np
 
@@ -69,6 +77,7 @@ print(json.dumps({
         and not name.startswith("_")
         and name not in ("cython_runtime", "repro")
     ),
+    "experiments": experiments,
     "suspect": suspect,
     "score": score,
     "cycles": len(cycles),
@@ -78,7 +87,8 @@ print(json.dumps({
 """
 
 
-def test_entry_points_load_only_numpy_and_orjson():
+@pytest.fixture(scope="module")
+def probe() -> dict:
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE],
@@ -88,7 +98,10 @@ def test_entry_points_load_only_numpy_and_orjson():
         timeout=120,
         check=True,
     )
-    probe = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_entry_points_load_only_numpy_and_orjson(probe):
     # The paths ran and found what they look for, so the check is not
     # vacuous.
     assert probe["suspect"] == "A" and probe["score"] > 0.0
@@ -97,3 +110,7 @@ def test_entry_points_load_only_numpy_and_orjson():
     assert "numpy" in probe["third_party"]
     extra = set(probe["third_party"]) - ALLOWED
     assert not extra, f"entry points load {sorted(extra)}"
+
+
+def test_entry_points_load_no_experiment_harness(probe):
+    assert probe["experiments"] == ["repro.experiments.campaign"]
