@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import scale
-from repro.scenarios import (
+from repro.scenarios.packs import list_scenarios
+from repro.scenarios.runner import (
     format_scenario,
-    list_scenarios,
     replay_campaign,
     run_scenario,
 )

@@ -12,11 +12,13 @@ every PR leaves a perf trajectory behind::
 
 The fleet benchmark sweeps a ``--services`` dimension (1/4/8/16 by
 default): each multi-service point is timed with the serial runner and
-the sharded shared-memory runner, recording ``parallel_speedup`` and
+the sharded runner, recording ``parallel_speedup`` and
 ``scaling_efficiency`` (speedup / workers) per point.
 ``--check-equivalence`` runs no timings at all — it verifies that the
 sharded runner reproduces the serial runner's statistics exactly, the
-fast-fail guard CI runs against transport regressions.
+fast-fail guard CI runs against transport regressions; with
+``--golden`` it also replays the 256-service golden serially and at
+each ``--workers`` count.
 
 Since schema ``repro-perf/3`` every fleet sweep point also embeds the
 campaign's transport instrumentation (``FleetResult.transport``):
@@ -175,7 +177,7 @@ def _bench_fleet(
     """Fleet throughput sweep over the ``--services`` dimension.
 
     Every point with more than one service is timed twice — with the
-    single-worker runner and with the sharded shared-memory runner
+    single-worker runner and with the sharded runner
     (``workers = min(n_services, 4)``) — so the sweep records the
     parallel speedup and the derived ``scaling_efficiency``
     (speedup / workers).  Efficiency is hardware-bound: on a box with
@@ -329,7 +331,7 @@ def check_fleet_equivalence(
     compares every episode report field plus the knowledge-base
     counters.  Prints a verdict per configuration; returns True when
     everything matched.  This is the CI regression smoke for the
-    shared-memory transport: any encoding bug that perturbs the
+    sharded runner's round messages: any bug that perturbs the
     aggregate statistics fails it immediately.
     """
     from repro.fleet.campaign import run_fleet_campaign
@@ -395,12 +397,13 @@ def check_fleet_equivalence(
     return ok
 
 
-def replay_golden(path: str) -> bool:
+def replay_golden(path: str, worker_counts: tuple[int, ...] = ()) -> bool:
     """Replay the committed large-fleet golden.
 
     Loads the golden payload (see ``--write-golden``), re-runs the
-    campaign serially, and compares the full per-service stats
-    payload.  Returns True when it reproduces the golden exactly.
+    campaign serially and then with each of ``worker_counts``, and
+    compares the full per-service stats payload of every run.  Returns
+    True when every run reproduces the golden exactly.
     """
     from repro.fleet.campaign import run_fleet_campaign
     from repro.scenarios.corpus import fleet_payload
@@ -412,15 +415,19 @@ def replay_golden(path: str) -> bool:
         episodes_per_service=int(golden["episodes_per_service"]),
         seed=int(golden["seed"]),
     )
-    started = time.perf_counter()
-    result = run_fleet_campaign(workers=1, **shape)
-    matched = fleet_payload(result) == golden["payload"]
-    print(
-        f"golden large fleet ({shape['n_services']} services, seed "
-        f"{shape['seed']}): {'identical' if matched else 'MISMATCH'} "
-        f"({time.perf_counter() - started:.1f}s)"
-    )
-    return matched
+    ok = True
+    for workers in (1, *worker_counts):
+        started = time.perf_counter()
+        result = run_fleet_campaign(workers=workers, **shape)
+        matched = fleet_payload(result) == golden["payload"]
+        ok = ok and matched
+        print(
+            f"golden large fleet ({shape['n_services']} services, seed "
+            f"{shape['seed']}, workers={workers}): "
+            f"{'identical' if matched else 'MISMATCH'} "
+            f"({time.perf_counter() - started:.1f}s)"
+        )
+    return ok
 
 
 def write_golden(
@@ -503,7 +510,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="PATH",
         help="with --check-equivalence: also replay this large-fleet "
-        "golden and fail on any stats drift",
+        "golden serially and at each --workers count, and fail on any "
+        "stats drift",
     )
     parser.add_argument(
         "--write-golden",
@@ -551,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
             worker_counts=worker_counts,
         )
         if args.golden is not None:
-            ok = replay_golden(args.golden) and ok
+            ok = replay_golden(args.golden, worker_counts) and ok
         return 0 if ok else 1
 
     payload = run_perf_suite(

@@ -18,9 +18,9 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro.scenarios import (
+from repro.scenarios.packs import get_scenario
+from repro.scenarios.runner import (
     format_scenario,
-    get_scenario,
     replay_campaign,
     run_scenario,
 )

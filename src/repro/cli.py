@@ -334,10 +334,10 @@ def _resolve(step, *args, **kwargs):
 
 
 def _run_scenario(args: argparse.Namespace) -> str:
-    from repro.scenarios import (
+    from repro.scenarios.packs import list_scenarios
+    from repro.scenarios.runner import (
         APPROACH_FACTORIES,
         format_scenario,
-        list_scenarios,
         replay_campaign,
         replay_fleet_campaign,
         run_scenario,

@@ -20,21 +20,21 @@ pure function of ``(seed, fleet shape)`` — identical for 1 worker or
 8, which is what makes the parallel speedup measurable against a
 bit-identical serial baseline.
 
-The sharded executor (:func:`_run_sharded`) keeps the Pipe only for
-the startup handshake, the final results, and crash relay; every
-per-round exchange rides the shared-memory segments in
-:mod:`repro.fleet.transport`.  Workers receive their whole fault
-schedule at spawn, absorb fleet knowledge in-process against the
-append-only shared knowledge log ("entries published before round R"
-— the same barrier semantics the serial runner implements with
-cursors), and publish round output into per-worker blocks the
-coordinator merges in replica order with vectorized stacked-array
-appends.  See ``docs/performance.md`` ("Fleet transport") for the
-layout and the equivalence argument.
+Both runners share the round loop in :func:`run_fleet_campaign` and
+the shard round, :meth:`_Shard.run_round`; only the dispatch differs.
+``workers=1`` runs one shard in-process against the coordinator's own
+knowledge base.  The sharded runner (:class:`_WorkerPool`) keeps one
+shard per worker process, each reading a replica of that base, and
+sends every worker one message per round over its Pipe: the
+watermark, the round's slots, the balancer targets and the entries
+merged since the previous round.  See ``docs/performance.md`` ("Fleet
+transport") for the protocol and its measured traffic.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import multiprocessing
 import os
@@ -42,25 +42,15 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.experiments.campaign import CampaignResult
 from repro.faults.correlated import (
     FleetStrike,
     build_correlated_schedule,
     per_service_queues,
 )
-from repro.fleet.knowledge import KnowledgeEntry, SharedKnowledgeBase
+from repro.fleet.knowledge import SharedKnowledgeBase
 from repro.fleet.loadbalancer import FleetLoadBalancer
 from repro.fleet.member import FleetMember, FleetRoundStats
-from repro.fleet.transport import (
-    ControlSegment,
-    KnowledgeLogSegment,
-    Vocab,
-    WorkerOutSegment,
-    acquire_with_liveness,
-    pack_ragged,
-)
 from repro.simulator.config import ServiceConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -223,13 +213,6 @@ class FleetResult:
         return counts
 
 
-def _transport_vocab() -> tuple[str, ...]:
-    """Fix kinds + contribution origins, the coded-string universe."""
-    from repro.fixes.catalog import ALL_FIX_KINDS
-
-    return tuple(dict.fromkeys((*ALL_FIX_KINDS, "healed", "admin")))
-
-
 def _member_round(
     member: FleetMember,
     faults: list,
@@ -250,77 +233,139 @@ def _member_round(
     return stats
 
 
-def _entries_from_log(
-    log: KnowledgeLogSegment,
-    cursor: int,
-    watermark: int,
-    me: int,
-    vocab: Vocab,
-) -> list[KnowledgeEntry]:
-    """Materialize the foreign entries in ``[cursor, watermark)``.
+class _Shard:
+    """Some of the fleet's members, each with its knowledge cursor.
 
-    The worker-side half of ``SharedKnowledgeBase.updates_for``: same
-    slice, same own-source filter, same entry order — which is what
-    keeps worker-side absorption bit-identical to the serial runner's.
-    Symptom vectors are copied out of the segment (the synopsis keeps
-    them past the campaign's lifetime).
+    The in-process runner keeps every member in one shard that reads
+    the coordinator's own knowledge base.  The sharded runner keeps
+    one shard per worker process, reading a replica of that base which
+    the coordinator's round messages extend.
     """
-    sources, fix_codes, origin_codes, bounds, data = log.read_entries(
-        cursor, watermark
-    )
-    entries = []
-    for j in range(watermark - cursor):
-        source = int(sources[j])
-        if source == me:
-            continue
-        entries.append(
-            KnowledgeEntry(
-                seq=cursor + j,
-                source=source,
-                symptoms=data[int(bounds[j]) : int(bounds[j + 1])].copy(),
-                fix_kind=vocab.decode(int(fix_codes[j])),
-                origin=vocab.decode(int(origin_codes[j])),
+
+    def __init__(
+        self,
+        indices,
+        knowledge: SharedKnowledgeBase,
+        *,
+        seed: int,
+        queues,
+        member_kwargs: dict,
+        max_episode_wait: int,
+        settle_ticks: int,
+    ) -> None:
+        self.members = {
+            i: FleetMember(index=i, seed=seed, **member_kwargs)
+            for i in indices
+        }
+        self.cursors = dict.fromkeys(self.members, 0)
+        self.knowledge = knowledge
+        self.queues = queues
+        self.max_episode_wait = max_episode_wait
+        self.settle_ticks = settle_ticks
+
+    def run_round(
+        self, lo: int, hi: int, lb_targets: list[float]
+    ) -> list[FleetRoundStats]:
+        """Run slots ``[lo, hi)`` on every member, in index order.
+
+        Each member first absorbs the foreign entries it has not seen:
+        the knowledge base holds exactly what was merged before the
+        round.
+        """
+        round_stats = []
+        for i, member in self.members.items():
+            external, self.cursors[i] = self.knowledge.updates_window(
+                i, self.cursors[i], self.knowledge.n_entries
             )
+            round_stats.append(
+                _member_round(
+                    member,
+                    self.queues[i][lo:hi],
+                    external,
+                    lb_targets[i],
+                    self.max_episode_wait,
+                    self.settle_ticks,
+                )
+            )
+        return round_stats
+
+    def results(
+        self,
+    ) -> tuple[dict[int, CampaignResult], dict[int, list[dict]]]:
+        """Each member's campaign result and telemetry events."""
+        return (
+            {i: member.result for i, member in self.members.items()},
+            {
+                i: member.telemetry.events
+                for i, member in self.members.items()
+                if member.telemetry is not None
+            },
         )
-    return entries
+
+
+# How often a blocked wait on the other end of a pipe checks that the
+# other end is still alive.
+_POLL_S = 0.25
+
+
+def _next_message(conn, parent: int, timeout: float):
+    """A worker's next message from its coordinator.
+
+    Fork leaves every worker holding copies of the coordinator's pipe
+    ends, so no EOF tells a worker that its coordinator died; it
+    notices instead that it has a new parent.
+    """
+    deadline = time.monotonic() + timeout
+    while not conn.poll(_POLL_S):
+        if os.getppid() != parent:
+            raise RuntimeError("fleet coordinator died")
+        if time.monotonic() > deadline:
+            raise TimeoutError("timed out waiting for the fleet coordinator")
+    return conn.recv()
+
+
+def _replicate(
+    replica: SharedKnowledgeBase, entries: list, watermark: int
+) -> None:
+    """Append the entries a round message carries to a worker's replica.
+
+    ``watermark`` is the coordinator's entry count; after the append
+    the replica must hold as many.
+    """
+    for entry in entries:
+        replica.contribute(
+            entry.source, entry.symptoms, entry.fix_kind, entry.origin
+        )
+    if replica.n_entries != watermark:
+        raise RuntimeError(
+            f"knowledge replica holds {replica.n_entries} entries, "
+            f"the coordinator {watermark}"
+        )
 
 
 def _fleet_worker(
     conn,
+    make_shard,
     indices: list[int],
-    seed: int,
-    queues: dict[int, list],
-    member_kwargs: dict,
-    max_episode_wait: int,
-    settle_ticks: int,
-    n_rounds: int,
-    episodes_per_round: int,
-    n_slots: int,
-    vocab_words: tuple[str, ...],
+    share_knowledge: bool,
     barrier_timeout: float,
     profile_path: str | None,
-    dispatch_sem,
-    done_sem,
 ) -> None:
     """Persistent shard process owning a subset of replicas.
 
     Simulator state never crosses the process boundary: the worker
     builds its members locally and keeps them for the whole campaign.
-    The Pipe carries only the startup handshake (symptom width out,
-    segment names in), the final per-replica campaign results, and
-    crash relay; per-round exchange — balancer targets and knowledge
-    watermarks in, downtime/absorb counts and learned signatures out —
-    is entirely shared-memory, synchronized by the dispatch/done
-    semaphore pair (whose acquire/release ordering makes the segment
-    reads safe on any architecture).
-
-    Each round's dispatch record (:class:`ControlSegment`) carries the
-    watermark the coordinator had merged before the round.  Knowledge
-    absorption happens here, in the worker, against the append-only
-    shared log: member ``i`` absorbs the foreign entries below that
-    watermark, exactly the serial runner's cursor semantics.
+    Each round the coordinator sends ``("round", watermark, lo, hi,
+    lb_targets, entries)`` and the worker replies with its members'
+    :class:`FleetRoundStats`; ``("finish",)`` asks for the members'
+    campaign results.  ``entries`` are those the coordinator merged
+    since the previous round: appended to the worker's replica of the
+    knowledge base, they bring it to ``watermark`` entries, so members
+    absorb exactly what the in-process runner's would.
     """
-    control = log = out = None
+    # The process that started this worker: the coordinator, or under
+    # ``forkserver`` the fork server, which exits with the coordinator.
+    parent = os.getppid()
     profiler = None
     try:
         if profile_path is not None:
@@ -328,123 +373,33 @@ def _fleet_worker(
 
             profiler = cProfile.Profile()
             profiler.enable()
-        vocab = Vocab(vocab_words)
-        members = {
-            i: FleetMember(index=i, seed=seed, **member_kwargs)
-            for i in indices
-        }
-        order = sorted(members)
-        dim = max(members[i].symptom_dim for i in order)
-        conn.send(("ready", dim))
-        message = conn.recv()
-        if message[0] != "attach":  # pragma: no cover - protocol guard
-            raise RuntimeError(
-                f"expected attach message, got {message[0]!r}"
-            )
-        (
-            _,
-            control_name,
-            n_services,
-            log_name,
-            log_entries,
-            log_data,
-            out_name,
-            out_entries,
-            out_data,
-        ) = message
-        control = ControlSegment.attach(control_name, n_services)
-        log = KnowledgeLogSegment.attach(log_name, log_entries, log_data)
-        out = WorkerOutSegment.attach(
-            out_name, len(order), out_entries, out_data
+        shard = make_shard(
+            indices, SharedKnowledgeBase(enabled=share_knowledge)
         )
-        cursors = {i: 0 for i in order}
-
-        def coordinator_alive() -> None:
-            if control.aborted():
-                raise RuntimeError(
-                    "fleet coordinator aborted the campaign"
-                )
-
         dispatch_wait_s = 0.0
-        for round_index in range(n_rounds):
+        while True:
             wait_started = time.perf_counter()
-            # A dispatch can trail the coordinator's own wait on the
-            # slowest worker by up to ``barrier_timeout``; allowing
-            # twice that lets the coordinator report a stall first,
-            # naming the stalled worker.
-            acquire_with_liveness(
-                dispatch_sem,
-                timeout=2 * barrier_timeout,
-                liveness=coordinator_alive,
-                what=f"round {round_index} dispatch",
-            )
+            # The coordinator's own wait on the slowest worker can take
+            # up to ``barrier_timeout``; allowing twice that lets the
+            # coordinator report a stall first, naming the worker.
+            message = _next_message(conn, parent, 2 * barrier_timeout)
+            if message[0] == "finish":
+                break
             dispatch_wait_s += time.perf_counter() - wait_started
-            watermark, targets = control.read_round(round_index)
-            # Sanity, not synchronization: the dispatch semaphore
-            # already fenced the log stores.
-            if log.published < watermark:  # pragma: no cover - guard
-                raise RuntimeError(
-                    f"round {round_index} dispatched with watermark "
-                    f"{watermark} ahead of the published log "
-                    f"({log.published})"
-                )
-            lo = round_index * episodes_per_round
-            hi = min(lo + episodes_per_round, n_slots)
-            downtime: list[float] = []
-            absorbed: list[int] = []
-            counts: list[int] = []
-            vectors: list[np.ndarray] = []
-            fix_codes: list[int] = []
-            origin_codes: list[int] = []
-            for i in order:
-                stats = _member_round(
-                    members[i],
-                    queues[i][lo:hi],
-                    _entries_from_log(log, cursors[i], watermark, i, vocab),
-                    float(targets[i]),
-                    max_episode_wait,
-                    settle_ticks,
-                )
-                cursors[i] = watermark
-                downtime.append(stats.downtime_fraction)
-                absorbed.append(stats.absorbed)
-                counts.append(len(stats.contributions))
-                for symptoms, fix_kind, origin in stats.contributions:
-                    vectors.append(symptoms)
-                    fix_codes.append(vocab.encode(fix_kind))
-                    origin_codes.append(vocab.encode(origin))
-            flat, lengths = pack_ragged(vectors)
-            out.write_round(
-                round_index,
-                downtime,
-                absorbed,
-                counts,
-                flat,
-                lengths,
-                np.asarray(fix_codes, dtype=np.int64),
-                np.asarray(origin_codes, dtype=np.int64),
-            )
-            done_sem.release()
-
-        message = conn.recv()
-        if message[0] != "finish":  # pragma: no cover - protocol guard
-            raise RuntimeError(
-                f"expected finish message, got {message[0]!r}"
-            )
+            _, watermark, lo, hi, lb_targets, entries = message
+            _replicate(shard.knowledge, entries, watermark)
+            conn.send(("ok", shard.run_round(lo, hi, lb_targets)))
         if profiler is not None:
             profiler.disable()
             profiler.dump_stats(profile_path)
             profiler = None
+        results, events = shard.results()
         conn.send(
             (
                 "ok",
                 {
-                    "results": {i: members[i].result for i in members},
-                    "events": {
-                        i: members[i].telemetry.events
-                        for i in members
-                        if members[i].telemetry is not None
-                    },
+                    "results": results,
+                    "events": events,
                     "dispatch_wait_s": dispatch_wait_s,
                 },
             )
@@ -459,9 +414,6 @@ def _fleet_worker(
     finally:
         if profiler is not None:  # pragma: no cover - crash path
             profiler.disable()
-        for segment in (control, log, out):
-            if segment is not None:
-                segment.close()
         conn.close()
 
 
@@ -479,8 +431,8 @@ def _worker_died(
 ) -> FleetWorkerError:
     """The error for a worker that exited without relaying one.
 
-    Its pipe is already at EOF, so the worker is dead and the join
-    returns at once; joining first makes ``exitcode`` available.
+    The worker is dead or exiting, so the join returns at once; joining
+    first makes ``exitcode`` available.
     """
     process.join(timeout=5)
     return FleetWorkerError(
@@ -493,117 +445,172 @@ def _recv(conn, worker_id: int, process: multiprocessing.Process):
     """One reply from worker ``worker_id``, relaying its failure.
 
     A worker that raised sends its traceback; one that was killed
-    (e.g. SIGKILL) leaves only EOF on its pipe.
+    (e.g. SIGKILL) leaves only EOF on its pipe, or a reset if it died
+    with a message unread.
     """
     try:
         status, payload = conn.recv()
-    except EOFError:
+    except (EOFError, OSError):
         raise _worker_died(worker_id, process) from None
     if status == "error":
         raise FleetWorkerError(f"fleet worker failed:\n{payload}")
     return payload
 
 
-def _terminate(processes: list[multiprocessing.Process]) -> None:
-    """Stop every worker of a failed campaign without waiting on it.
+class _WorkerPool:
+    """One :class:`_Shard` per worker process: the sharded dispatch.
 
-    A surviving worker may be blocked in ``conn.recv()`` on the attach
-    or finish handshake.  Closing the coordinator's pipe ends does not
-    wake it: forked workers hold copies of those ends, so no EOF ever
-    arrives.
+    Entering the pool forks the workers.  Leaving it reaps them, and
+    first terminates the survivors of a failed campaign: they wait for
+    a next message that will never come.  Waits for a reply poll the
+    pipe in ``_POLL_S`` slices; a dead worker raises the error it
+    relayed, or :func:`_worker_died`, and a reply later than
+    ``barrier_timeout`` raises ``TimeoutError``.
     """
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
 
+    def __init__(
+        self,
+        shards: list[list[int]],
+        make_shard,
+        knowledge: SharedKnowledgeBase,
+        barrier_timeout: float,
+        profile_dir: str | None,
+    ) -> None:
+        self.shards = shards
+        self.make_shard = make_shard
+        self.knowledge = knowledge
+        self.barrier_timeout = barrier_timeout
+        self.profile_dir = profile_dir
+        self.processes: list[multiprocessing.Process] = []
+        self.connections = []
+        self.sent = 0  # knowledge entries already sent to the workers
+        self.barrier_wait_s: list[list[float]] = []
+        self.dispatch_wait_s: list[float] = []
 
-def _join(processes: list[multiprocessing.Process]) -> None:
-    """Reap every worker; terminate one that outstays the timeout."""
-    for process in processes:
-        process.join(timeout=30)
-        if process.is_alive():  # pragma: no cover - hung worker
-            process.terminate()
-            process.join()
-
-
-def _merge_round(
-    round_index: int,
-    shards: list[list[int]],
-    outs: list[WorkerOutSegment],
-    n_services: int,
-    balancer: FleetLoadBalancer,
-    log: KnowledgeLogSegment,
-    enabled: bool,
-) -> tuple[list[float], list[float], int]:
-    """Merge one round's per-worker output blocks, then release them.
-
-    Rebalances on the round's downtime and appends its contributions
-    to the shared log in replica order — the serial merge order, which
-    is what keeps the log bytes identical for any worker count.  The
-    blocks are read zero-copy; scoping the views to this function
-    keeps them from pinning the shared buffers past teardown.
-    Returns ``(lb targets, per-service downtime, absorbed delta)``.
-    """
-    reads = [out.read_round(round_index) for out in outs]
-    downtime = [0.0] * n_services
-    absorbed = 0
-    for shard, read in zip(shards, reads):
-        for k, i in enumerate(sorted(shard)):
-            downtime[i] = float(read["downtime"][k])
-        absorbed += int(read["absorbed"].sum())
-    lb_targets = balancer.rebalance(downtime)
-    if enabled and any(int(read["counts"].sum()) for read in reads):
-        log.append_batch(*_regroup_contributions(shards, reads))
-    for out in outs:
-        out.mark_consumed(round_index)
-    return lb_targets, downtime, absorbed
-
-
-def _regroup_contributions(
-    shards: list[list[int]], reads: list[dict]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Reorder per-worker round output into replica order.
-
-    Each worker publishes its contributions grouped by member (in its
-    shard's index order); the round merge must interleave shards
-    back into global replica order.  Work is per *member group*
-    (array slices), never per entry.
-    """
-    pieces = []
-    for shard, read in zip(shards, reads):
-        counts = read["counts"]
-        entry_bounds = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=entry_bounds[1:])
-        data_bounds = np.zeros(len(read["lengths"]) + 1, dtype=np.int64)
-        np.cumsum(read["lengths"], out=data_bounds[1:])
-        for k, member_index in enumerate(sorted(shard)):
-            e0, e1 = int(entry_bounds[k]), int(entry_bounds[k + 1])
-            if e0 == e1:
-                continue
-            pieces.append(
-                (
-                    member_index,
-                    read["flat"][
-                        int(data_bounds[e0]) : int(data_bounds[e1])
-                    ],
-                    read["lengths"][e0:e1],
-                    read["fix_codes"][e0:e1],
-                    read["origin_codes"][e0:e1],
+    def __enter__(self) -> _WorkerPool:
+        try:
+            for worker_id, shard in enumerate(self.shards):
+                parent_conn, child_conn = multiprocessing.Pipe()
+                profile_path = (
+                    os.path.join(
+                        self.profile_dir, f"fleet-worker-{worker_id}.prof"
+                    )
+                    if self.profile_dir is not None
+                    else None
                 )
+                process = multiprocessing.Process(
+                    target=_fleet_worker,
+                    args=(
+                        child_conn,
+                        self.make_shard,
+                        shard,
+                        self.knowledge.enabled,
+                        self.barrier_timeout,
+                        profile_path,
+                    ),
+                    daemon=True,
+                )
+                process.start()
+                child_conn.close()
+                self.processes.append(process)
+                self.connections.append(parent_conn)
+        except BaseException as exc:
+            self.__exit__(type(exc), exc, exc.__traceback__)
+            raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            for process in self.processes:
+                if process.is_alive():
+                    process.terminate()
+        for conn in self.connections:
+            conn.close()
+        for process in self.processes:
+            process.join(timeout=30)
+            if process.is_alive():  # pragma: no cover - hung worker
+                process.terminate()
+                process.join()
+
+    def run_round(
+        self, lo: int, hi: int, lb_targets: list[float]
+    ) -> list[FleetRoundStats]:
+        """Dispatch one round to every worker; stats in replica order.
+
+        Books the wait for each worker's reply, in worker order, into
+        this round's ``barrier_wait_s``.
+        """
+        round_index = len(self.barrier_wait_s)
+        watermark = self.knowledge.n_entries
+        # Reader -1 is no replica, so the window holds every entry
+        # merged since the previous round.
+        entries, self.sent = self.knowledge.updates_window(
+            -1, self.sent, watermark
+        )
+        for worker_id in range(len(self.shards)):
+            self._send(
+                worker_id, ("round", watermark, lo, hi, lb_targets, entries)
             )
-    pieces.sort(key=lambda piece: piece[0])
-    if not pieces:
-        empty_f = np.zeros(0, dtype=np.float64)
-        empty_i = np.zeros(0, dtype=np.int64)
-        return empty_f, empty_i, empty_i, empty_i, empty_i
-    flat = np.concatenate([p[1] for p in pieces])
-    lengths = np.concatenate([p[2] for p in pieces])
-    sources = np.concatenate(
-        [np.full(len(p[2]), p[0], dtype=np.int64) for p in pieces]
-    )
-    fix_codes = np.concatenate([p[3] for p in pieces])
-    origin_codes = np.concatenate([p[4] for p in pieces])
-    return flat, lengths, sources, fix_codes, origin_codes
+        round_stats: list[FleetRoundStats] = []
+        waits: list[float] = []
+        for worker_id in range(len(self.shards)):
+            wait_started = time.perf_counter()
+            round_stats += self._reply(
+                worker_id, f"round {round_index} outputs (worker {worker_id})"
+            )
+            waits.append(time.perf_counter() - wait_started)
+        self.barrier_wait_s.append(waits)
+        return sorted(round_stats, key=lambda stats: stats.index)
+
+    def results(
+        self,
+    ) -> tuple[dict[int, CampaignResult], dict[int, list[dict]]]:
+        """Every member's campaign result and telemetry events."""
+        for worker_id in range(len(self.shards)):
+            self._send(worker_id, ("finish",))
+        per_service: dict[int, CampaignResult] = {}
+        events: dict[int, list[dict]] = {}
+        for worker_id, conn in enumerate(self.connections):
+            # A worker exits once it has sent its results, so only its
+            # own pipe (a message, or EOF) tells whether it failed.
+            if not conn.poll(self.barrier_timeout):
+                raise TimeoutError(
+                    f"timed out waiting for worker {worker_id} results"
+                )
+            payload = _recv(conn, worker_id, self.processes[worker_id])
+            per_service.update(payload["results"])
+            events.update(payload["events"])
+            self.dispatch_wait_s.append(float(payload["dispatch_wait_s"]))
+        return per_service, events
+
+    def _send(self, worker_id: int, message: tuple) -> None:
+        try:
+            self.connections[worker_id].send(message)
+        except OSError:
+            raise self._error(worker_id) from None
+
+    def _reply(self, worker_id: int, what: str):
+        """Worker ``worker_id``'s reply to a round; any death raises."""
+        conn = self.connections[worker_id]
+        deadline = time.monotonic() + self.barrier_timeout
+        while not conn.poll(_POLL_S):
+            for other, process in enumerate(self.processes):
+                if not process.is_alive():
+                    raise self._error(other)
+            if time.monotonic() > deadline:
+                raise TimeoutError(f"timed out waiting for {what}")
+        return _recv(conn, worker_id, self.processes[worker_id])
+
+    def _error(self, worker_id: int) -> FleetWorkerError:
+        """Why a dead worker died: the error it relayed, if any."""
+        conn = self.connections[worker_id]
+        process = self.processes[worker_id]
+        try:
+            if conn.poll():
+                _recv(conn, worker_id, process)
+        except FleetWorkerError as exc:
+            return exc
+        return _worker_died(worker_id, process)
 
 
 def run_fleet_campaign(
@@ -655,7 +662,8 @@ def run_fleet_campaign(
             probabilities (explicit ``schedule`` / probability
             arguments still win).
         record_path: record every member's telemetry to this JSONL
-            trace for :func:`repro.scenarios.replay_fleet_campaign`.
+            trace for
+            :func:`repro.scenarios.runner.replay_fleet_campaign`.
             Requires the in-process runner (``workers=1``).
         events_path: write the flight-recorder event log here (JSONL,
             ``repro-events/1``): per-member healing spans and audit
@@ -668,9 +676,9 @@ def run_fleet_campaign(
             ``fleet-worker-<k>.prof`` into this directory at shutdown
             (the in-process runner produces no dumps — profile the
             coordinator directly).
-        barrier_timeout: seconds the coordinator may wait on one
-            worker's round before the campaign is declared hung
-            (workers allow twice that for their next dispatch).
+        barrier_timeout: seconds the coordinator may wait for one
+            worker's reply before the campaign is declared hung
+            (workers allow twice that for their next message).
 
     Raises:
         FleetWorkerError: a worker of the sharded runner died or
@@ -758,57 +766,29 @@ def run_fleet_campaign(
     balancer = FleetLoadBalancer(
         n_services, spill_fraction=spill_fraction
     )
-    lb_targets = [1.0] * n_services
-    absorbed_total = 0
-    n_slots = len(schedule)
-    n_rounds = math.ceil(n_slots / episodes_per_round) if n_slots else 0
-
-    # Transport instrumentation.  ``round_lags`` (entries published at
-    # each barrier = how far members trail the shared log) is
-    # deterministic and identical for any worker count; the *_s
-    # timings are wall clock and stay out of the event log.
-    round_lags: list[int] = []
-    barrier_wait_s: list[list[float]] = []
-    dispatch_wait_s: list[float] = []
-    merge_s = 0.0
-    member_event_streams: list[list[dict]] = []
-
+    knowledge = SharedKnowledgeBase(enabled=share_knowledge)
+    make_shard = functools.partial(
+        _Shard,
+        seed=seed,
+        queues=queues,
+        member_kwargs=member_kwargs,
+        max_episode_wait=max_episode_wait,
+        settle_ticks=settle_ticks,
+    )
     use_workers = workers > 1 and n_services > 1
     if use_workers:
-        campaigns, published, absorbed_total, events_by_member, shard_perf = (
-            _run_sharded(
-                n_services=n_services,
-                workers=workers,
-                seed=seed,
-                queues=queues,
-                member_kwargs=member_kwargs,
-                max_episode_wait=max_episode_wait,
-                settle_ticks=settle_ticks,
-                n_rounds=n_rounds,
-                episodes_per_round=episodes_per_round,
-                n_slots=n_slots,
-                share_knowledge=share_knowledge,
-                balancer=balancer,
-                barrier_timeout=barrier_timeout,
-                profile_dir=profile_dir,
-                hub=hub,
-                round_lags=round_lags,
-            )
+        n_workers = min(workers, n_services)
+        executor = _WorkerPool(
+            [list(range(k, n_services, n_workers)) for k in range(n_workers)],
+            make_shard,
+            knowledge,
+            barrier_timeout,
+            profile_dir,
         )
-        published_entries, published_bytes = published
-        barrier_wait_s = shard_perf["barrier_wait_s"]
-        dispatch_wait_s = shard_perf["dispatch_wait_s"]
-        merge_s = shard_perf["merge_s"]
-        if hub is not None:
-            member_event_streams = [
-                events_by_member[i] for i in range(n_services)
-            ]
     else:
-        members = [
-            FleetMember(index=i, seed=seed, **member_kwargs)
-            for i in range(n_services)
-        ]
+        shard = make_shard(range(n_services), knowledge)
         if recorder is not None:
+            first = shard.members[0]
             recorder.set_header(
                 kind="fleet",
                 scenario=scenario_name,
@@ -818,44 +798,47 @@ def run_fleet_campaign(
                 share_knowledge=share_knowledge,
                 threshold=threshold,
                 include_invasive=include_invasive,
-                member_seeds=[m.member_seed for m in members],
-                beans=sorted(members[0].service.app.container.ejbs),
+                member_seeds=[
+                    member.member_seed for member in shard.members.values()
+                ],
+                beans=sorted(first.service.app.container.ejbs),
                 capacities={
-                    "web": members[0].service.web.capacity,
-                    "app": members[0].service.app.capacity,
-                    "db": members[0].service.db.capacity,
+                    "web": first.service.web.capacity,
+                    "app": first.service.app.capacity,
+                    "db": first.service.db.capacity,
                 },
             )
-        knowledge = SharedKnowledgeBase(enabled=share_knowledge)
-        cursors = [0] * n_services
+        executor = contextlib.nullcontext(shard)
+
+    lb_targets = [1.0] * n_services
+    absorbed_total = 0
+    n_slots = len(schedule)
+    n_rounds = math.ceil(n_slots / episodes_per_round) if n_slots else 0
+
+    # Transport instrumentation.  ``round_lags`` (entries published at
+    # each barrier = how far members trail the knowledge base) is
+    # deterministic and identical for any worker count; the *_s
+    # timings are wall clock and stay out of the event log.
+    round_lags: list[int] = []
+    merge_s = 0.0
+
+    with executor as dispatch:
         for round_index in range(n_rounds):
             lo = round_index * episodes_per_round
             hi = min(lo + episodes_per_round, n_slots)
             # Every member absorbs what was merged before the round.
             watermark = knowledge.n_entries
-            round_stats: list[FleetRoundStats] = []
-            for i, member in enumerate(members):
-                external, cursors[i] = knowledge.updates_window(
-                    i, cursors[i], watermark
-                )
-                round_stats.append(
-                    _member_round(
-                        member,
-                        queues[i][lo:hi],
-                        external,
-                        lb_targets[i],
-                        max_episode_wait,
-                        settle_ticks,
-                    )
-                )
+            round_stats = dispatch.run_round(lo, hi, lb_targets)
 
             # Barrier: merge contributions in replica order, rebalance.
             merge_started = time.perf_counter()
             downtime = [stats.downtime_fraction for stats in round_stats]
             absorbed_round = sum(stats.absorbed for stats in round_stats)
-            for i, stats in enumerate(round_stats):
+            for stats in round_stats:
                 for symptoms, fix_kind, origin in stats.contributions:
-                    knowledge.contribute(i, symptoms, fix_kind, origin)
+                    knowledge.contribute(
+                        stats.index, symptoms, fix_kind, origin
+                    )
             lb_targets = balancer.rebalance(downtime)
             merge_s += time.perf_counter() - merge_started
             absorbed_total += absorbed_round
@@ -871,13 +854,10 @@ def run_fleet_campaign(
                     lag=published,
                     downtime=downtime,
                 )
-        campaigns = [member.result for member in members]
-        published_entries = knowledge.n_entries
-        published_bytes = knowledge.data_bytes
-        if hub is not None:
-            member_event_streams = [
-                member.telemetry.events for member in members
-            ]
+        per_service, events_by_member = dispatch.results()
+    campaigns = [per_service[i] for i in range(n_services)]
+    published_entries = knowledge.n_entries
+    published_bytes = knowledge.data_bytes
 
     trace_sha = None
     if recorder is not None:
@@ -909,12 +889,12 @@ def run_fleet_campaign(
                 "episodes_per_service": episodes_per_service,
                 "share_knowledge": share_knowledge,
             },
-            [hub.events, *member_event_streams],
+            [hub.events, *(events_by_member[i] for i in range(n_services))],
         )
 
     transport = {
         "mode": "sharded" if use_workers else "serial",
-        "workers": min(workers, n_services) if use_workers else 1,
+        "workers": n_workers if use_workers else 1,
         "rounds": n_rounds,
         "knowledge": {
             "published_entries": published_entries,
@@ -928,8 +908,8 @@ def run_fleet_campaign(
                 sum(round_lags) / len(round_lags) if round_lags else 0.0
             ),
         },
-        "barrier_wait_s": barrier_wait_s,
-        "dispatch_wait_s": dispatch_wait_s,
+        "barrier_wait_s": dispatch.barrier_wait_s if use_workers else [],
+        "dispatch_wait_s": dispatch.dispatch_wait_s if use_workers else [],
         "merge_s": merge_s,
     }
 
@@ -951,245 +931,6 @@ def run_fleet_campaign(
         events_sha256=events_sha,
         transport=transport,
     )
-
-
-def _run_sharded(
-    *,
-    n_services: int,
-    workers: int,
-    seed: int,
-    queues: list,
-    member_kwargs: dict,
-    max_episode_wait: int,
-    settle_ticks: int,
-    n_rounds: int,
-    episodes_per_round: int,
-    n_slots: int,
-    share_knowledge: bool,
-    balancer: FleetLoadBalancer,
-    barrier_timeout: float,
-    profile_dir: str | None,
-    hub,
-    round_lags: list[int],
-) -> tuple[
-    list[CampaignResult], tuple[int, int], int, dict[int, list[dict]], dict
-]:
-    """The coordinator of the sharded executor: a round barrier.
-
-    After a one-time handshake, each round:
-
-    1. publishes one dispatch record — the round's balancer targets
-       and the watermark ``log.published`` — and releases every
-       worker;
-    2. acquires every worker's done semaphore in worker order, booking
-       each wait into that round's ``barrier_wait_s``;
-    3. merges the output blocks zero-copy in replica order — so the
-       shared log holds the serial runner's bytes — and marks them
-       consumed;
-    4. emits ``fleet_round``.
-
-    Every member therefore absorbs everything merged before its round,
-    with the serial runner's watermarks, merge order and telemetry.
-    The coordinator keeps no knowledge base of its own: the published
-    entry count and symptom bytes it returns are read off the shared
-    log.
-    """
-    vocab_words = _transport_vocab()
-    absorbed_total = 0
-    merge_s = 0.0
-    barrier_wait_s: list[list[float]] = [[] for _ in range(n_rounds)]
-    # Start the resource tracker *before* forking workers so they
-    # inherit it.  The segments are only created after the handshake;
-    # a worker that forked trackerless would lazily spawn its own
-    # tracker on attach and "clean up" the coordinator's live segments
-    # when it exits.
-    try:  # pragma: no cover - private but stable across 3.8-3.13
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-    except Exception:
-        pass
-    shards: list[list[int]] = [
-        [] for _ in range(min(workers, n_services))
-    ]
-    for i in range(n_services):
-        shards[i % len(shards)].append(i)
-
-    processes: list[multiprocessing.Process] = []
-    connections = []
-    dispatch_sems = []
-    done_sems = []
-    control = None
-    log = None
-    outs: list[WorkerOutSegment] = []
-    try:
-        for worker_id, shard in enumerate(shards):
-            parent_conn, child_conn = multiprocessing.Pipe()
-            dispatch_sem = multiprocessing.Semaphore(0)
-            done_sem = multiprocessing.Semaphore(0)
-            profile_path = (
-                os.path.join(
-                    profile_dir, f"fleet-worker-{worker_id}.prof"
-                )
-                if profile_dir is not None
-                else None
-            )
-            process = multiprocessing.Process(
-                target=_fleet_worker,
-                args=(
-                    child_conn,
-                    shard,
-                    seed,
-                    {i: queues[i] for i in shard},
-                    member_kwargs,
-                    max_episode_wait,
-                    settle_ticks,
-                    n_rounds,
-                    episodes_per_round,
-                    n_slots,
-                    vocab_words,
-                    barrier_timeout,
-                    profile_path,
-                    dispatch_sem,
-                    done_sem,
-                ),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            processes.append(process)
-            connections.append(parent_conn)
-            dispatch_sems.append(dispatch_sem)
-            done_sems.append(done_sem)
-
-        # Handshake: symptom widths size the ragged segments.  The
-        # knowledge log's structural bound is one contribution per
-        # episode slot per replica.
-        max_dim = max(
-            _recv(conn, worker_id, process)
-            for worker_id, (process, conn) in enumerate(
-                zip(processes, connections)
-            )
-        )
-        log_entries = n_services * max(n_slots, 1) + 16
-        log_data = log_entries * max(max_dim, 1)
-        log = KnowledgeLogSegment(log_entries, log_data)
-        control = ControlSegment(n_services)
-        for shard, conn in zip(shards, connections):
-            out_entries = 2 * len(shard) * episodes_per_round + 8
-            out_data = out_entries * max(max_dim, 1)
-            out = WorkerOutSegment(len(shard), out_entries, out_data)
-            outs.append(out)
-            conn.send(
-                (
-                    "attach",
-                    control.name,
-                    n_services,
-                    log.name,
-                    log_entries,
-                    log_data,
-                    out.name,
-                    out_entries,
-                    out_data,
-                )
-            )
-
-        def workers_alive() -> None:
-            for worker_id, (process, conn) in enumerate(
-                zip(processes, connections)
-            ):
-                if conn.poll():
-                    # Raises with the worker's traceback, or its exit
-                    # code when it died without one.
-                    _recv(conn, worker_id, process)
-                if not process.is_alive():
-                    raise _worker_died(worker_id, process)
-
-        lb_targets = [1.0] * n_services
-        for round_index in range(n_rounds):
-            watermark = log.published
-            control.publish(round_index, watermark, lb_targets)
-            for dispatch_sem in dispatch_sems:
-                dispatch_sem.release()
-            for worker_id, done_sem in enumerate(done_sems):
-                wait_started = time.perf_counter()
-                acquire_with_liveness(
-                    done_sem,
-                    timeout=barrier_timeout,
-                    liveness=workers_alive,
-                    what=f"round {round_index} outputs (worker {worker_id})",
-                )
-                barrier_wait_s[round_index].append(
-                    time.perf_counter() - wait_started
-                )
-            merge_started = time.perf_counter()
-            lb_targets, downtime, absorbed = _merge_round(
-                round_index,
-                shards,
-                outs,
-                n_services,
-                balancer,
-                log,
-                share_knowledge,
-            )
-            merge_s += time.perf_counter() - merge_started
-            absorbed_total += absorbed
-            published = log.published - watermark
-            round_lags.append(published)
-            if hub is not None:
-                hub.emit(
-                    "fleet_round",
-                    round=round_index,
-                    watermark=watermark,
-                    published=published,
-                    absorbed=absorbed,
-                    lag=published,
-                    downtime=downtime,
-                )
-
-        # The symptom payload is float64 and the bounds are offsets
-        # into it, so the last published offset times 8 is its size.
-        published_entries = log.published
-        published_bytes = (
-            int(log.read_entries(0, published_entries)[3][-1]) * 8
-        )
-
-        per_service: dict[int, CampaignResult] = {}
-        events_by_member: dict[int, list[dict]] = {}
-        dispatch_wait_s: list[float] = []
-        for conn in connections:
-            conn.send(("finish",))
-        for worker_id, (process, conn) in enumerate(
-            zip(processes, connections)
-        ):
-            payload = _recv(conn, worker_id, process)
-            per_service.update(payload["results"])
-            events_by_member.update(payload["events"])
-            dispatch_wait_s.append(float(payload["dispatch_wait_s"]))
-        return (
-            [per_service[i] for i in range(n_services)],
-            (published_entries, published_bytes),
-            absorbed_total,
-            events_by_member,
-            {
-                "barrier_wait_s": barrier_wait_s,
-                "dispatch_wait_s": dispatch_wait_s,
-                "merge_s": merge_s,
-            },
-        )
-    except BaseException:
-        _terminate(processes)
-        raise
-    finally:
-        if control is not None:
-            control.abort()
-        for conn in connections:
-            conn.close()
-        _join(processes)
-        for segment in (control, log, *outs):
-            if segment is not None:
-                segment.close()
-                segment.unlink()
 
 
 def format_fleet(result: FleetResult) -> str:

@@ -19,10 +19,10 @@ with per-entry offsets, sources in an int64 column, and fix kinds /
 origins as coded columns over a growable vocabulary.  A stacked block
 of contributions merges with one vectorized copy per column, and
 :class:`KnowledgeEntry` objects are materialized lazily, only for the
-foreign entries a replica actually absorbs.  This base serves the
-in-process fleet runner; the sharded runner's coordinator keeps the
-same layout in the shared-memory log of :mod:`repro.fleet.transport`
-and no base of its own.
+foreign entries a replica actually absorbs.  The fleet runner's
+coordinator merges every round into one base; in the sharded runner
+each worker keeps a replica of it, extended by the entries each round
+message carries.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class SharedKnowledgeBase:
     def data_bytes(self) -> int:
         """Symptom-vector payload published so far, in bytes.
 
-        The transport accounting number: float64 symptom data only
+        The knowledge accounting number: float64 symptom data only
         (the coded string/source columns are a few int64s per entry).
         """
         return int(self._data_used) * 8
@@ -220,9 +220,9 @@ class SharedKnowledgeBase:
         count) and resumes from there next round.  Because the cursor
         advances exactly to the watermark, every published entry is
         absorbed exactly once per replica no matter how the watermarks
-        are staggered — the conservation property the transport tests
-        pin down.  ``updates_for`` is the ``watermark = n_entries``
-        special case.
+        are staggered — the conservation property the knowledge
+        property tests pin down.  ``updates_for`` is the
+        ``watermark = n_entries`` special case.
         """
         watermark = min(int(watermark), self._n)
         if watermark < cursor:

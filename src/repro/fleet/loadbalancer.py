@@ -56,10 +56,10 @@ class FleetLoadBalancer:
         1.0 — the failover overload).  A fully degraded fleet has
         nowhere to shift traffic, so everyone keeps their share.
 
-        Accepts any float sequence (including a shared-memory view)
-        and computes the targets with one vectorized pass; the
-        arithmetic matches the scalar formulation operation for
-        operation, so targets are bit-identical across runners.
+        Accepts any float sequence and computes the targets with one
+        vectorized pass; the arithmetic matches the scalar formulation
+        operation for operation.  The coordinator alone computes them,
+        for any number of workers.
         """
         fractions = np.asarray(downtime_fractions, dtype=np.float64)
         if fractions.shape != (self.n_services,):

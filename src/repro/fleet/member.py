@@ -1,11 +1,12 @@
 """One fleet replica: service + injector + healing loop bundle.
 
-A member is the unit the fleet runner ships to worker processes: it is
-fully self-contained (its own simulator, monitoring harness, FixSym
-synopsis, and RNG streams derived from the fleet seed and its index),
-picklable, and advanced in slot-aligned *rounds* so that knowledge
-exchange and load rebalancing happen at deterministic barriers
-regardless of how many workers execute the rounds.
+A member is the unit the fleet runner shards across worker processes:
+it is fully self-contained (its own simulator, monitoring harness,
+FixSym synopsis, and RNG streams derived from the fleet seed and its
+index), so each worker builds its own members and never ships one;
+and it is advanced in slot-aligned *rounds* so that knowledge exchange
+and load rebalancing happen at deterministic barriers regardless of
+how many workers execute the rounds.
 """
 
 from __future__ import annotations
@@ -137,15 +138,6 @@ class FleetMember:
         self.result = CampaignResult()
         self.lb_factor = 1.0
         self._warmed = False
-
-    @property
-    def symptom_dim(self) -> int:
-        """Width of this member's symptom vectors (``[z | means]``).
-
-        The parallel fleet runner sizes its shared-memory transport
-        segments from this during the startup handshake.
-        """
-        return 2 * self.loop.harness.collector.n_metrics
 
     def set_lb_factor(self, target: float) -> None:
         """Apply the balancer's traffic multiplier for the next round.

@@ -24,97 +24,7 @@ diversity as first-class, named objects:
   ``corpus/`` of minimized hard cases CI replays as goldens.
 
 CLI: ``repro scenario list | run | record | replay | fuzz | shrink |
-corpus``.
+corpus``.  Import the module itself (``repro.scenarios.runner``, ...):
+this package re-exports nothing, so a process that replays or runs a
+scenario does not load the fuzzer with it.
 """
-
-from repro.scenarios.corpus import (
-    CorpusEntry,
-    GeneratedRun,
-    classify,
-    fuzz,
-    load_corpus,
-    replay_corpus,
-    run_generated,
-    save_entry,
-    shrink,
-)
-from repro.scenarios.generator import (
-    GeneratedScenario,
-    build_fault,
-    fault_to_spec,
-    generate_scenario,
-    sample_fault_spec,
-)
-from repro.scenarios.packs import (
-    DB_FAULT_KINDS,
-    RetryAmplifier,
-    ScenarioPack,
-    build_scenario_service,
-    get_scenario,
-    list_scenarios,
-)
-from repro.scenarios.runner import (
-    APPROACH_FACTORIES,
-    ScenarioRunResult,
-    build_approach,
-    format_scenario,
-    replay_campaign,
-    replay_fleet_campaign,
-    run_scenario,
-)
-from repro.scenarios.trace import (
-    RecordingInjector,
-    ReplayInjector,
-    ReplayService,
-    TraceExhausted,
-    TraceRecorder,
-    load_trace,
-    trace_sha256,
-)
-from repro.scenarios.wide import (
-    WIDE_TEMPLATE_COUNT,
-    wide_entry_points,
-    wide_query_templates,
-    wide_tiers,
-)
-
-__all__ = [
-    "APPROACH_FACTORIES",
-    "CorpusEntry",
-    "DB_FAULT_KINDS",
-    "GeneratedRun",
-    "GeneratedScenario",
-    "RecordingInjector",
-    "ReplayInjector",
-    "ReplayService",
-    "RetryAmplifier",
-    "ScenarioPack",
-    "ScenarioRunResult",
-    "TraceExhausted",
-    "TraceRecorder",
-    "WIDE_TEMPLATE_COUNT",
-    "build_approach",
-    "build_fault",
-    "build_scenario_service",
-    "classify",
-    "fault_to_spec",
-    "format_scenario",
-    "fuzz",
-    "generate_scenario",
-    "get_scenario",
-    "list_scenarios",
-    "load_corpus",
-    "load_trace",
-    "replay_campaign",
-    "replay_corpus",
-    "replay_fleet_campaign",
-    "run_generated",
-    "run_scenario",
-    "sample_fault_spec",
-    "save_entry",
-    "shrink",
-    "trace_sha256",
-    "wide_entry_points",
-    "wide_query_templates",
-    "wide_tiers",
-]

@@ -272,7 +272,7 @@ class TestFleetCampaign:
 
     def test_multi_slot_rounds_match_across_workers(self):
         """episodes_per_round > 1 batches slots between barriers; the
-        shared-memory transport must stay equivalent to serial."""
+        sharded runner must stay equivalent to serial."""
         serial = run_fleet_campaign(
             n_services=3,
             episodes_per_service=4,

@@ -5,7 +5,8 @@ that is SIGKILLed, and a worker that stalls past ``barrier_timeout``
 must each end the campaign promptly with an error that names the
 cause: no surviving worker left running, no shared-memory segment
 left behind.  ``repro fleet`` reports a dead or failing worker as one
-``error:`` line and exit code 1.
+``error:`` line and exit code 1.  Workers whose coordinator is killed
+exit on their own.
 
 The faults are injected by monkeypatching module globals of
 :mod:`repro.fleet.campaign`, which reaches the workers only when they
@@ -17,7 +18,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -159,3 +163,84 @@ def test_cli_reports_failing_member_as_error_line(monkeypatch, capsys):
     assert code == 1
     assert err.startswith("error: fleet worker failed")
     assert INJECTED in err
+
+
+# A 2-worker campaign long enough to outlive the kill.  Each worker
+# leaves a file named after its pid once it runs its first round, so
+# the coordinator is killed while both workers are alive and past
+# their start.
+_ORPHANING_CAMPAIGN = r"""
+import os
+import sys
+
+from repro.fleet import campaign
+
+pid_dir = sys.argv[1]
+original_round = campaign._member_round
+announced = []
+
+
+def member_round(member, *args):
+    if not announced:
+        announced.append(True)
+        open(os.path.join(pid_dir, str(os.getpid())), "w").close()
+    return original_round(member, *args)
+
+
+campaign._member_round = member_round
+campaign.run_fleet_campaign(
+    n_services=2, episodes_per_service=50, seed=3, workers=2
+)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not exited.
+
+    An exited worker whose new parent does not reap it stays a zombie
+    (state ``Z``) in the process table.
+    """
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="ascii")
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="reads process states in /proc"
+)
+def test_workers_exit_when_their_coordinator_dies(tmp_path):
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    env = dict(
+        os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src")
+    )
+    with open(tmp_path / "stderr", "w") as stderr:
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", _ORPHANING_CAMPAIGN, str(pid_dir)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=stderr,
+        )
+    workers: list[int] = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(workers) < 2:
+            if coordinator.poll() is not None:
+                pytest.fail((tmp_path / "stderr").read_text())
+            assert time.monotonic() < deadline, "workers never ran a round"
+            time.sleep(0.05)
+            workers = [int(name) for name in os.listdir(pid_dir)]
+        coordinator.kill()
+        coordinator.wait()
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in workers if _running(pid)] == []
+    finally:
+        coordinator.kill()
+        coordinator.wait()
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

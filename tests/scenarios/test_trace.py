@@ -7,15 +7,13 @@ import pytest
 from repro.cli import main
 from repro.fleet.campaign import aggregate_campaigns, run_fleet_campaign
 from repro.healing.report import EpisodeReport
-from repro.scenarios import (
+from repro.scenarios.runner import (
     format_scenario,
-    load_trace,
     replay_campaign,
     replay_fleet_campaign,
     run_scenario,
-    trace_sha256,
 )
-from repro.scenarios.trace import tick_payload
+from repro.scenarios.trace import load_trace, tick_payload, trace_sha256
 
 # Small-but-real campaign shape shared by the round-trip tests.
 SCENARIO = "retry_storm"

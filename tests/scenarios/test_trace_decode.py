@@ -26,7 +26,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fleet.campaign import run_fleet_campaign
-from repro.scenarios import load_trace, replay_campaign, run_scenario
+from repro.scenarios.runner import replay_campaign, run_scenario
+from repro.scenarios.trace import load_trace
 from repro.scenarios.trace import (
     TraceRecorder,
     _dumps,

@@ -19,16 +19,19 @@ import orjson
 import pytest
 
 from repro.fleet.campaign import run_fleet_campaign
-from repro.scenarios import (
+from repro.scenarios import trace as trace_module
+from repro.scenarios.runner import (
     format_scenario,
-    load_trace,
     replay_campaign,
     replay_fleet_campaign,
     run_scenario,
+)
+from repro.scenarios.trace import (
+    ReplayService,
+    _FixCursor,
+    load_trace,
     trace_sha256,
 )
-from repro.scenarios import trace as trace_module
-from repro.scenarios.trace import ReplayService, _FixCursor
 
 SCENARIO = "black_friday"
 SEED = 3

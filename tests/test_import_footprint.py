@@ -9,7 +9,8 @@ libraries: ranking beans for a microreboot (the χ² statistic) and
 counting deadlocks (the wait-for graph).  A library that only a rarely
 taken path needs is imported inside that function instead, and no
 package ``__init__`` on the way loads the paper's figure and table
-harnesses.
+harnesses or the scenario fuzzer.  The fleet runner's workers talk to
+their coordinator over pipes, so nothing loads shared memory either.
 """
 
 from __future__ import annotations
@@ -26,6 +27,14 @@ _ROOT = Path(__file__).resolve().parents[1]
 
 ALLOWED = {"numpy", "orjson"}
 
+# Modules of the standard library and of ``repro`` that no entry point
+# needs.
+UNWANTED = (
+    "multiprocessing.shared_memory",
+    "repro.scenarios.corpus",
+    "repro.scenarios.generator",
+)
+
 _PROBE = r"""
 import json, sys
 
@@ -38,6 +47,7 @@ import repro.scenarios.runner
 experiments = sorted(
     name for name in sys.modules if name.startswith("repro.experiments.")
 )
+loaded = set(sys.modules)
 
 import numpy as np
 
@@ -78,6 +88,7 @@ print(json.dumps({
         and name not in ("cython_runtime", "repro")
     ),
     "experiments": experiments,
+    "loaded": sorted(loaded),
     "suspect": suspect,
     "score": score,
     "cycles": len(cycles),
@@ -114,3 +125,10 @@ def test_entry_points_load_only_numpy_and_orjson(probe):
 
 def test_entry_points_load_no_experiment_harness(probe):
     assert probe["experiments"] == ["repro.experiments.campaign"]
+
+
+def test_entry_points_load_no_fuzzer_or_shared_memory(probe):
+    # The probe saw the entry points' own modules, so an empty
+    # intersection is not an empty list.
+    assert "repro.scenarios.runner" in probe["loaded"]
+    assert sorted(set(UNWANTED) & set(probe["loaded"])) == []

@@ -51,7 +51,7 @@ SINGLE_SERVICE_CASES = [
 FLEET_CASE = {"n_services": 2, "episodes_per_service": 2, "seed": 3}
 # A 4-service shape so the worker-count equivalence tests can shard it
 # across 2 and 4 workers; captured with the serial (workers=1) runner,
-# which is the reference implementation for the transport.
+# the reference the sharded runner must reproduce.
 FLEET_MULTI_CASE = {"n_services": 4, "episodes_per_service": 2, "seed": 11}
 SCENARIO_CASE = {"name": "flash_crowd", "seed": 7, "n_episodes": 2}
 
