@@ -77,7 +77,7 @@ def test_shared_knowledge_beats_isolated(fleet_pair, benchmark):
         kb.contribute(
             i % 4, rng.normal(size=40), ALL_FIX_KINDS[i % len(ALL_FIX_KINDS)]
         )
-    benchmark(lambda: kb.updates_for(0, 256))
+    benchmark(lambda: kb.updates_window(0, 256, kb.n_entries))
 
 
 def test_parallel_matches_serial_bit_for_bit():

@@ -268,12 +268,9 @@ def _run_fleet(args: argparse.Namespace) -> str:
 
 
 def _run_report(args: argparse.Namespace) -> str:
-    from repro.telemetry import (
-        aggregate_events,
-        format_report,
-        load_events,
-        render_prometheus,
-    )
+    from repro.telemetry import load_events
+    from repro.telemetry.metrics import aggregate_events, render_prometheus
+    from repro.telemetry.report import format_report
 
     # Missing or malformed logs are input errors (exit 2), same as a
     # bad trace file; load_events raises with a line-numbered message.
@@ -484,7 +481,8 @@ def _run_live(args: argparse.Namespace) -> str:
     )
 
     if args.live_command == "report":
-        from repro.telemetry import format_report, load_events
+        from repro.telemetry import load_events
+        from repro.telemetry.report import format_report
 
         header, events = _resolve(load_events, args.events)
         return format_report(header, events)

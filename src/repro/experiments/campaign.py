@@ -35,7 +35,6 @@ __all__ = [
     "CampaignResult",
     "run_campaign",
     "run_episode",
-    "run_slots",
     "settle",
 ]
 
@@ -157,39 +156,6 @@ def run_episode(
     # Let the service settle (and baselines refresh) between episodes.
     settle(loop, settle_ticks)
     return detected
-
-
-def run_slots(
-    loop: SelfHealingLoop,
-    injector: FaultInjector,
-    slots: list[Fault | None],
-    result: CampaignResult,
-    max_episode_wait: int = 150,
-    settle_ticks: int = 30,
-) -> int:
-    """Run a slot-aligned sequence of episode slots back to back.
-
-    ``None`` slots (a replica spared by a fleet strike) still settle
-    the service so slot-aligned replicas stay roughly clock-aligned.
-    This is the fleet round's in-worker batch unit: a worker runs a
-    whole round of slots with no coordinator round-trips in between.
-    Returns the number of non-empty slots (episodes) run.
-    """
-    episodes = 0
-    for fault in slots:
-        if fault is None:
-            settle(loop, settle_ticks, max_ticks=settle_ticks * 2)
-            continue
-        episodes += 1
-        run_episode(
-            loop,
-            injector,
-            fault,
-            result,
-            max_episode_wait=max_episode_wait,
-            settle_ticks=settle_ticks,
-        )
-    return episodes
 
 
 def run_campaign(

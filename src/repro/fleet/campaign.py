@@ -1,8 +1,8 @@
 """Fleet campaigns: correlated faults, shared knowledge, parallelism.
 
 The runner advances every replica through the same slot-aligned
-schedule in *rounds*.  A round is the unit of parallelism **and** the
-knowledge/rebalancing barrier:
+schedule, one strike slot per *round*.  A round is the unit of
+parallelism **and** the knowledge/rebalancing barrier:
 
 1. before a round, each replica absorbs the signatures its peers
    published in earlier rounds and applies the balancer's traffic
@@ -26,7 +26,7 @@ the shard round, :meth:`_Shard.run_round`; only the dispatch differs.
 knowledge base.  The sharded runner (:class:`_WorkerPool`) keeps one
 shard per worker process, each reading a replica of that base, and
 sends every worker one message per round over its Pipe: the
-watermark, the round's slots, the balancer targets and the entries
+watermark, the round's slot, the balancer targets and the entries
 merged since the previous round.  See ``docs/performance.md`` ("Fleet
 transport") for the protocol and its measured traffic.
 """
@@ -54,6 +54,7 @@ from repro.fleet.member import FleetMember, FleetRoundStats
 from repro.simulator.config import ServiceConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.base import Fault
     from repro.scenarios.packs import ScenarioPack
 
 __all__ = [
@@ -215,7 +216,7 @@ class FleetResult:
 
 def _member_round(
     member: FleetMember,
-    faults: list,
+    fault: Fault | None,
     external: list,
     lb_target: float,
     max_episode_wait: int,
@@ -225,7 +226,7 @@ def _member_round(
     member.set_lb_factor(lb_target)
     absorbed = member.absorb(external)
     stats = member.run_round(
-        faults,
+        fault,
         max_episode_wait=max_episode_wait,
         settle_ticks=settle_ticks,
     )
@@ -264,9 +265,9 @@ class _Shard:
         self.settle_ticks = settle_ticks
 
     def run_round(
-        self, lo: int, hi: int, lb_targets: list[float]
+        self, slot: int, lb_targets: list[float]
     ) -> list[FleetRoundStats]:
-        """Run slots ``[lo, hi)`` on every member, in index order.
+        """Run strike slot ``slot`` on every member, in index order.
 
         Each member first absorbs the foreign entries it has not seen:
         the knowledge base holds exactly what was merged before the
@@ -280,7 +281,7 @@ class _Shard:
             round_stats.append(
                 _member_round(
                     member,
-                    self.queues[i][lo:hi],
+                    self.queues[i][slot],
                     external,
                     lb_targets[i],
                     self.max_episode_wait,
@@ -355,7 +356,7 @@ def _fleet_worker(
 
     Simulator state never crosses the process boundary: the worker
     builds its members locally and keeps them for the whole campaign.
-    Each round the coordinator sends ``("round", watermark, lo, hi,
+    Each round the coordinator sends ``("round", watermark, slot,
     lb_targets, entries)`` and the worker replies with its members'
     :class:`FleetRoundStats`; ``("finish",)`` asks for the members'
     campaign results.  ``entries`` are those the coordinator merged
@@ -386,9 +387,9 @@ def _fleet_worker(
             if message[0] == "finish":
                 break
             dispatch_wait_s += time.perf_counter() - wait_started
-            _, watermark, lo, hi, lb_targets, entries = message
+            _, watermark, slot, lb_targets, entries = message
             _replicate(shard.knowledge, entries, watermark)
-            conn.send(("ok", shard.run_round(lo, hi, lb_targets)))
+            conn.send(("ok", shard.run_round(slot, lb_targets)))
         if profiler is not None:
             profiler.disable()
             profiler.dump_stats(profile_path)
@@ -533,7 +534,7 @@ class _WorkerPool:
                 process.join()
 
     def run_round(
-        self, lo: int, hi: int, lb_targets: list[float]
+        self, slot: int, lb_targets: list[float]
     ) -> list[FleetRoundStats]:
         """Dispatch one round to every worker; stats in replica order.
 
@@ -549,7 +550,7 @@ class _WorkerPool:
         )
         for worker_id in range(len(self.shards)):
             self._send(
-                worker_id, ("round", watermark, lo, hi, lb_targets, entries)
+                worker_id, ("round", watermark, slot, lb_targets, entries)
             )
         round_stats: list[FleetRoundStats] = []
         waits: list[float] = []
@@ -622,7 +623,6 @@ def run_fleet_campaign(
     schedule: list[FleetStrike] | None = None,
     p_correlated: float | None = None,
     p_cascade: float | None = None,
-    episodes_per_round: int = 1,
     config: ServiceConfig | None = None,
     threshold: int = 5,
     include_invasive: bool = True,
@@ -639,7 +639,8 @@ def run_fleet_campaign(
 
     Args:
         n_services: replicas behind the load balancer.
-        episodes_per_service: strike slots each replica experiences.
+        episodes_per_service: strike slots each replica experiences,
+            one per round.
         seed: fleet root seed; fully determines the result.
         workers: worker processes; 1 runs in-process.  The aggregate
             statistics are identical for any worker count.
@@ -647,8 +648,6 @@ def run_fleet_campaign(
             (False is the isolation ablation arm).
         schedule: explicit fleet strike schedule; built from
             ``(seed, p_correlated, p_cascade)`` when omitted.
-        episodes_per_round: strike slots between knowledge/rebalance
-            barriers (1 propagates knowledge fastest).
         config: sizing template shared by all replicas.
         threshold / include_invasive / max_episode_wait / settle_ticks:
             forwarded to each replica's loop and episode engine.
@@ -694,10 +693,6 @@ def run_fleet_campaign(
         )
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if episodes_per_round < 1:
-        raise ValueError(
-            f"episodes_per_round must be >= 1, got {episodes_per_round}"
-        )
     started = time.perf_counter()
 
     pack = None
@@ -812,8 +807,7 @@ def run_fleet_campaign(
 
     lb_targets = [1.0] * n_services
     absorbed_total = 0
-    n_slots = len(schedule)
-    n_rounds = math.ceil(n_slots / episodes_per_round) if n_slots else 0
+    n_rounds = len(schedule)
 
     # Transport instrumentation.  ``round_lags`` (entries published at
     # each barrier = how far members trail the knowledge base) is
@@ -824,11 +818,9 @@ def run_fleet_campaign(
 
     with executor as dispatch:
         for round_index in range(n_rounds):
-            lo = round_index * episodes_per_round
-            hi = min(lo + episodes_per_round, n_slots)
             # Every member absorbs what was merged before the round.
             watermark = knowledge.n_entries
-            round_stats = dispatch.run_round(lo, hi, lb_targets)
+            round_stats = dispatch.run_round(round_index, lb_targets)
 
             # Barrier: merge contributions in replica order, rebalance.
             merge_started = time.perf_counter()

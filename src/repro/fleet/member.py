@@ -4,9 +4,9 @@ A member is the unit the fleet runner shards across worker processes:
 it is fully self-contained (its own simulator, monitoring harness,
 FixSym synopsis, and RNG streams derived from the fleet seed and its
 index), so each worker builds its own members and never ships one;
-and it is advanced in slot-aligned *rounds* so that knowledge exchange
-and load rebalancing happen at deterministic barriers regardless of
-how many workers execute the rounds.
+and it is advanced one strike slot per *round*, so that knowledge
+exchange and load rebalancing happen at deterministic barriers
+regardless of how many workers execute the rounds.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.approaches.signature import SignatureApproach
 from repro.core.synopses.base import Synopsis
 from repro.core.synopses.nearest_neighbor import NearestNeighborSynopsis
-from repro.experiments.campaign import CampaignResult, run_slots
+from repro.experiments.campaign import CampaignResult, run_episode, settle
 from repro.faults.base import Fault
 from repro.faults.injector import FaultInjector
 from repro.fixes.catalog import ALL_FIX_KINDS
@@ -36,8 +36,6 @@ class FleetRoundStats:
     """What one member reports back at a round barrier."""
 
     index: int
-    episodes: int = 0
-    new_reports: int = 0
     downtime_fraction: float = 0.0
     contributions: list[tuple[np.ndarray, str, str]] = field(
         default_factory=list
@@ -160,34 +158,37 @@ class FleetMember:
 
     def run_round(
         self,
-        faults: list[Fault | None],
+        fault: Fault | None,
         max_episode_wait: int = 150,
         settle_ticks: int = 30,
     ) -> FleetRoundStats:
-        """Run one round of episode slots; report at the barrier.
+        """Run one strike slot; report at the barrier.
 
-        ``None`` slots (this replica spared by the strike) still settle
-        the service so replicas stay roughly clock-aligned across the
-        fleet.  Downtime fraction is the share of the round's ticks the
-        replica spent between fault injection and verified recovery —
-        the health signal the balancer rebalances on.
+        A ``None`` slot (this replica spared by the strike) still
+        settles the service so replicas stay roughly clock-aligned
+        across the fleet.  Downtime fraction is the share of the
+        round's ticks the replica spent between fault injection and
+        verified recovery — the health signal the balancer rebalances
+        on.
         """
         if not self._warmed:
             self.loop.warmup()
             self._warmed = True
         start_tick = self.service.tick
         reports_before = len(self.result.reports)
-        episodes = run_slots(
-            self.loop,
-            self.injector,
-            faults,
-            self.result,
-            max_episode_wait=max_episode_wait,
-            settle_ticks=settle_ticks,
-        )
+        if fault is None:
+            settle(self.loop, settle_ticks, max_ticks=settle_ticks * 2)
+        else:
+            run_episode(
+                self.loop,
+                self.injector,
+                fault,
+                self.result,
+                max_episode_wait=max_episode_wait,
+                settle_ticks=settle_ticks,
+            )
         elapsed = self.service.tick - start_tick
         self.result.total_ticks = self.service.tick
-        new_reports = self.result.reports[reports_before:]
         downtime = sum(
             (
                 report.recovered_at
@@ -195,12 +196,10 @@ class FleetMember:
                 else self.service.tick
             )
             - report.injected_at
-            for report in new_reports
+            for report in self.result.reports[reports_before:]
         )
         return FleetRoundStats(
             index=self.index,
-            episodes=episodes,
-            new_reports=len(new_reports),
             downtime_fraction=(
                 min(1.0, downtime / elapsed) if elapsed > 0 else 0.0
             ),

@@ -7,13 +7,10 @@ variant of Section 5.3.
 """
 
 from repro.healing.loop import HealingHarness, SelfHealingLoop
-from repro.healing.proactive import ProactiveHealer, Watch
 from repro.healing.report import EpisodeReport
 
 __all__ = [
     "EpisodeReport",
     "HealingHarness",
-    "ProactiveHealer",
     "SelfHealingLoop",
-    "Watch",
 ]

@@ -45,16 +45,11 @@ from repro.telemetry.hub import (
     dump_events,
     load_events,
 )
-from repro.telemetry.metrics import aggregate_events, render_prometheus
-from repro.telemetry.report import format_report
 
 __all__ = [
     "EVENTS_SCHEMA",
     "HealingTelemetry",
     "TelemetryHub",
-    "aggregate_events",
     "dump_events",
-    "format_report",
     "load_events",
-    "render_prometheus",
 ]

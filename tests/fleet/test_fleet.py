@@ -98,22 +98,32 @@ class TestSharedKnowledgeBase:
         kb = SharedKnowledgeBase()
         kb.contribute(0, np.zeros(3), ALL_FIX_KINDS[0])
         kb.contribute(1, np.ones(3), ALL_FIX_KINDS[1])
-        fresh, cursor = kb.updates_for(0, 0)
+        fresh, cursor = kb.updates_window(0, 0, kb.n_entries)
         assert [e.source for e in fresh] == [1]
         assert cursor == 2
         # Nothing new since the cursor.
-        fresh, cursor = kb.updates_for(0, cursor)
+        fresh, cursor = kb.updates_window(0, cursor, kb.n_entries)
         assert fresh == [] and cursor == 2
         # A later publication is visible to everyone but its source.
         kb.contribute(0, np.zeros(3), ALL_FIX_KINDS[2])
-        fresh, _ = kb.updates_for(1, 2)
+        fresh, _ = kb.updates_window(1, 2, kb.n_entries)
         assert [e.source for e in fresh] == [0]
 
     def test_disabled_base_records_nothing(self):
         kb = SharedKnowledgeBase(enabled=False)
         assert kb.contribute(0, np.zeros(3), ALL_FIX_KINDS[0]) is None
         assert kb.n_entries == 0
-        assert kb.updates_for(1, 0) == ([], 0)
+        assert kb.updates_window(1, 0, kb.n_entries) == ([], 0)
+
+    def test_published_entry_is_a_read_only_snapshot(self):
+        kb = SharedKnowledgeBase()
+        symptoms = np.arange(3.0)
+        kb.contribute(0, symptoms, ALL_FIX_KINDS[0])
+        symptoms[:] = -1.0
+        (entry,), _ = kb.updates_window(1, 0, kb.n_entries)
+        assert entry.symptoms.tolist() == [0.0, 1.0, 2.0]
+        with pytest.raises(ValueError):
+            entry.symptoms[0] = 5.0
 
 
 class TestSynopsisMerge:
@@ -267,29 +277,6 @@ class TestFleetCampaign:
         assert serial.mean_detection_ticks() == pytest.approx(
             sharded.mean_detection_ticks()
         )
-        assert serial.knowledge_entries == sharded.knowledge_entries
-        assert serial.knowledge_absorbed == sharded.knowledge_absorbed
-
-    def test_multi_slot_rounds_match_across_workers(self):
-        """episodes_per_round > 1 batches slots between barriers; the
-        sharded runner must stay equivalent to serial."""
-        serial = run_fleet_campaign(
-            n_services=3,
-            episodes_per_service=4,
-            seed=7,
-            workers=1,
-            episodes_per_round=2,
-        )
-        sharded = run_fleet_campaign(
-            n_services=3,
-            episodes_per_service=4,
-            seed=7,
-            workers=2,
-            episodes_per_round=2,
-        )
-        assert serial.total_reports == sharded.total_reports
-        assert serial.mean_attempts == sharded.mean_attempts
-        assert serial.mean_detection_ticks() == sharded.mean_detection_ticks()
         assert serial.knowledge_entries == sharded.knowledge_entries
         assert serial.knowledge_absorbed == sharded.knowledge_absorbed
 

@@ -3,7 +3,7 @@
 The sharded fleet runner keeps a replica of the coordinator's
 knowledge base in every worker: each round message carries, pickled,
 the entries merged since the previous one, and members absorb from
-the replica.  A single off-by-one in the columnar offsets, or a bit
+the replica.  A single off-by-one in the cursor arithmetic, or a bit
 lost on the way, would silently corrupt knowledge exchange (and with
 it, the bit-exactness contract).  Hypothesis drives the edge cases:
 mixed-length vectors, zero-length vectors, empty rounds, and special
@@ -50,14 +50,6 @@ _rounds = st.lists(
     min_size=0,
     max_size=4,
 )
-
-
-def _pack(vectors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate ragged vectors; return ``(flat, lengths)``."""
-    lengths = np.asarray([len(v) for v in vectors], dtype=np.int64)
-    if not vectors:
-        return np.zeros(0, dtype=np.float64), lengths
-    return np.concatenate(vectors).astype(np.float64), lengths
 
 
 def _key(entry) -> tuple:
@@ -112,42 +104,6 @@ class TestReplica:
             _replicate(SharedKnowledgeBase(), entries, 2)
 
 
-class TestSharedKnowledgeBaseBatch:
-    @settings(max_examples=30, deadline=None)
-    @given(_rounds)
-    def test_batch_equals_sequential_contribute(self, rounds):
-        """One vectorized batch append must record exactly what the
-        per-entry contribute path records (mixed lengths included)."""
-        batched = SharedKnowledgeBase()
-        sequential = SharedKnowledgeBase()
-        for contributions in rounds:
-            flat, lengths = _pack([v for (_, _, _, v) in contributions])
-            batched.contribute_batch(
-                flat,
-                lengths,
-                np.asarray(
-                    [s for (s, _, _, _) in contributions],
-                    dtype=np.int64,
-                ),
-                [_FIX_KINDS[k] for (_, k, _, _) in contributions],
-                [origin for (_, _, origin, _) in contributions],
-            )
-            for source, k, origin, vector in contributions:
-                sequential.contribute(
-                    source, vector, _FIX_KINDS[k], origin
-                )
-        assert batched.n_entries == sequential.n_entries
-        assert batched.by_source() == sequential.by_source()
-        for a, b in zip(batched.entries, sequential.entries):
-            assert (a.seq, a.source, a.fix_kind, a.origin) == (
-                b.seq,
-                b.source,
-                b.fix_kind,
-                b.origin,
-            )
-            assert a.symptoms.tobytes() == b.symptoms.tobytes()
-
-
 # Per-round foreign contributions: (source, symptom value) pairs.
 _round_contribs = st.lists(
     st.tuples(
@@ -170,7 +126,7 @@ class TestUpdatesWindow:
         self, rounds, reader, data
     ):
         """Absorbing through any non-decreasing watermark schedule must
-        yield exactly the entries a single ``updates_for`` sweep yields
+        yield exactly the entries a single full-log sweep yields
         — each published entry absorbed exactly once, in log order."""
         base = SharedKnowledgeBase()
         for contributions in rounds:
@@ -179,7 +135,9 @@ class TestUpdatesWindow:
                     source, np.asarray([value]), "restart_component"
                 )
         total = base.n_entries
-        reference, ref_cursor = base.updates_for(reader, 0)
+        reference, ref_cursor = base.updates_window(
+            reader, 0, base.n_entries
+        )
         assert ref_cursor == total
 
         # A random staggered schedule, always ending at the full log.

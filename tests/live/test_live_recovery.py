@@ -70,7 +70,7 @@ class TestDemoRecovery:
         assert audits
         assert audits[-1]["action_taken"] == "restart_service"
 
-        from repro.telemetry import format_report
+        from repro.telemetry.report import format_report
 
         text = format_report(header, events)
         assert "recovered via restart_service" in text

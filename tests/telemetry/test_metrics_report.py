@@ -8,14 +8,10 @@ from repro.experiments.campaign import run_campaign
 from repro.scenarios.runner import build_approach, run_scenario
 from repro.simulator.config import ServiceConfig
 from repro.simulator.service import MultitierService
-from repro.telemetry import (
-    HealingTelemetry,
-    aggregate_events,
-    format_report,
-    load_events,
-    render_prometheus,
-)
+from repro.telemetry import HealingTelemetry, load_events
 from repro.telemetry.healing import _scrub
+from repro.telemetry.metrics import aggregate_events, render_prometheus
+from repro.telemetry.report import format_report
 
 
 @pytest.fixture(scope="module")

@@ -31,8 +31,11 @@ ALLOWED = {"numpy", "orjson"}
 # needs.
 UNWANTED = (
     "multiprocessing.shared_memory",
+    "repro.healing.proactive",
     "repro.scenarios.corpus",
     "repro.scenarios.generator",
+    "repro.telemetry.metrics",
+    "repro.telemetry.report",
 )
 
 _PROBE = r"""
