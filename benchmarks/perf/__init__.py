@@ -335,43 +335,14 @@ def check_fleet_equivalence(
     aggregate statistics fails it immediately.
     """
     from repro.fleet.campaign import run_fleet_campaign
-    from repro.scenarios.corpus import _canonical_target
+    from repro.scenarios.corpus import fleet_payload
 
     def fingerprint(result) -> tuple:
-        return (
-            tuple(
-                (
-                    campaign.injected,
-                    campaign.undetected,
-                    campaign.total_ticks,
-                    tuple(
-                        (
-                            report.event_id,
-                            tuple(report.fault_kinds),
-                            report.fault_category,
-                            report.injected_at,
-                            report.detected_at,
-                            report.recovered_at,
-                            tuple(
-                                # hung-<N> ids come from a process-wide
-                                # counter, not the campaign seed — the
-                                # corpus canonicalization rule.
-                                (a.kind, _canonical_target(a.target))
-                                for a in report.applications
-                            ),
-                            tuple(report.outcomes),
-                            report.successful_fix,
-                            report.escalated,
-                            report.admin_resolved,
-                        )
-                        for report in campaign.reports
-                    ),
-                )
-                for campaign in result.per_service
-            ),
-            result.knowledge_entries,
-            result.knowledge_absorbed,
-        )
+        # The fleet fingerprint's preimage, plus the report ids it omits.
+        return fleet_payload(result), [
+            [report.event_id for report in campaign.reports]
+            for campaign in result.per_service
+        ]
 
     shape = dict(
         n_services=n_services,

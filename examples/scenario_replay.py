@@ -31,21 +31,22 @@ def main() -> None:
     print(f"Scenario pack: {pack.name} — {pack.description}")
     print(f"Expected behavior: {pack.expected_behavior}\n")
 
-    trace = Path(tempfile.mkdtemp()) / "retry_storm.jsonl"
-    recorded = run_scenario(
-        "retry_storm", seed=11, n_episodes=3, record_path=str(trace)
-    )
-    print("=== recorded run ===")
-    print(format_scenario(recorded))
-    print(f"trace: {trace} (sha256 {recorded.trace_sha256[:16]}...)\n")
+    with tempfile.TemporaryDirectory() as scratch:
+        trace = str(Path(scratch) / "retry_storm.jsonl")
+        recorded = run_scenario(
+            "retry_storm", seed=11, n_episodes=3, record_path=trace
+        )
+        print("=== recorded run ===")
+        print(format_scenario(recorded))
+        print(f"trace: {trace} (sha256 {recorded.trace_sha256[:16]}...)\n")
 
-    replayed = replay_campaign(str(trace))
-    print("=== replay, same approach ===")
-    print(format_scenario(replayed))
-    match = format_scenario(replayed) == format_scenario(recorded)
-    print(f"statistics identical to the recorded run: {match}\n")
+        replayed = replay_campaign(trace)
+        print("=== replay, same approach ===")
+        print(format_scenario(replayed))
+        match = format_scenario(replayed) == format_scenario(recorded)
+        print(f"statistics identical to the recorded run: {match}\n")
 
-    manual = replay_campaign(str(trace), approach="manual")
+        manual = replay_campaign(trace, approach="manual")
     print("=== replay, manual rules (open-loop comparison) ===")
     print(format_scenario(manual))
     print(

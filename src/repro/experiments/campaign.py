@@ -164,9 +164,7 @@ def run_campaign(
     seed: int,
     category_mix: dict[str, float] | None = None,
     faults: list[Fault] | None = None,
-    config: ServiceConfig | None = None,
     threshold: int = 5,
-    include_invasive: bool = True,
     max_episode_wait: int = 150,
     settle_ticks: int = 30,
     service: MultitierService | None = None,
@@ -184,13 +182,12 @@ def run_campaign(
             Figure 1 service profiles); mutually exclusive with
             ``faults``.
         faults: explicit fault schedule (overrides sampling).
-        config: service sizing (ignored when ``service`` is given).
         threshold: FixSym/approach retry threshold (Figure 3).
-        include_invasive: whether EJB-level data is collected.
         max_episode_wait: ticks to wait for detection before skipping.
         settle_ticks: healthy ticks required between episodes.
         service: prebuilt service — how scenario packs supply shaped
-            workloads, SLO profiles, and tick hooks.
+            workloads, SLO profiles, and tick hooks; defaults to a
+            stock service seeded with ``seed``.
         injector: prebuilt injector on ``service`` (e.g. a recording
             injector); defaults to a fresh :class:`FaultInjector`.
         telemetry: optional flight recorder attached to the healing
@@ -198,9 +195,7 @@ def run_campaign(
             on or off).
     """
     if service is None:
-        service = MultitierService(
-            config if config is not None else ServiceConfig(seed=seed)
-        )
+        service = MultitierService(ServiceConfig(seed=seed))
     if injector is None:
         injector = FaultInjector(service)
     start_tick = service.tick
@@ -209,7 +204,6 @@ def run_campaign(
         approach,
         injector=injector,
         threshold=threshold,
-        include_invasive=include_invasive,
         seed=seed,
         telemetry=telemetry,
     )

@@ -51,7 +51,6 @@ from repro.faults.correlated import (
 from repro.fleet.knowledge import SharedKnowledgeBase
 from repro.fleet.loadbalancer import FleetLoadBalancer
 from repro.fleet.member import FleetMember, FleetRoundStats
-from repro.simulator.config import ServiceConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.base import Fault
@@ -219,17 +218,11 @@ def _member_round(
     fault: Fault | None,
     external: list,
     lb_target: float,
-    max_episode_wait: int,
-    settle_ticks: int,
 ) -> FleetRoundStats:
     """One member's round: rebalance, absorb peer knowledge, run."""
     member.set_lb_factor(lb_target)
     absorbed = member.absorb(external)
-    stats = member.run_round(
-        fault,
-        max_episode_wait=max_episode_wait,
-        settle_ticks=settle_ticks,
-    )
+    stats = member.run_round(fault)
     stats.absorbed = absorbed
     return stats
 
@@ -251,8 +244,6 @@ class _Shard:
         seed: int,
         queues,
         member_kwargs: dict,
-        max_episode_wait: int,
-        settle_ticks: int,
     ) -> None:
         self.members = {
             i: FleetMember(index=i, seed=seed, **member_kwargs)
@@ -261,8 +252,6 @@ class _Shard:
         self.cursors = dict.fromkeys(self.members, 0)
         self.knowledge = knowledge
         self.queues = queues
-        self.max_episode_wait = max_episode_wait
-        self.settle_ticks = settle_ticks
 
     def run_round(
         self, slot: int, lb_targets: list[float]
@@ -280,12 +269,7 @@ class _Shard:
             )
             round_stats.append(
                 _member_round(
-                    member,
-                    self.queues[i][slot],
-                    external,
-                    lb_targets[i],
-                    self.max_episode_wait,
-                    self.settle_ticks,
+                    member, self.queues[i][slot], external, lb_targets[i]
                 )
             )
         return round_stats
@@ -623,11 +607,6 @@ def run_fleet_campaign(
     schedule: list[FleetStrike] | None = None,
     p_correlated: float | None = None,
     p_cascade: float | None = None,
-    config: ServiceConfig | None = None,
-    threshold: int = 5,
-    include_invasive: bool = True,
-    max_episode_wait: int = 150,
-    settle_ticks: int = 30,
     spill_fraction: float = 0.5,
     scenario: str | ScenarioPack | None = None,
     record_path: str | None = None,
@@ -648,9 +627,6 @@ def run_fleet_campaign(
             (False is the isolation ablation arm).
         schedule: explicit fleet strike schedule; built from
             ``(seed, p_correlated, p_cascade)`` when omitted.
-        config: sizing template shared by all replicas.
-        threshold / include_invasive / max_episode_wait / settle_ticks:
-            forwarded to each replica's loop and episode engine.
         spill_fraction: balancer failover spill (see
             :class:`FleetLoadBalancer`).
         scenario: scenario pack name or a
@@ -741,22 +717,14 @@ def run_fleet_campaign(
 
         recorder = TraceRecorder(record_path)
 
-    member_kwargs = dict(
-        config=config,
-        threshold=threshold,
-        include_invasive=include_invasive,
-    )
-    if pack is not None:
-        member_kwargs["scenario"] = pack
-    if recorder is not None:
-        member_kwargs["recorder"] = recorder
-
     hub = None
     if events_path is not None:
         from repro.telemetry import TelemetryHub
 
         hub = TelemetryHub()
-        member_kwargs["telemetry"] = True
+    member_kwargs = dict(
+        scenario=pack, recorder=recorder, telemetry=hub is not None
+    )
 
     balancer = FleetLoadBalancer(
         n_services, spill_fraction=spill_fraction
@@ -767,8 +735,6 @@ def run_fleet_campaign(
         seed=seed,
         queues=queues,
         member_kwargs=member_kwargs,
-        max_episode_wait=max_episode_wait,
-        settle_ticks=settle_ticks,
     )
     use_workers = workers > 1 and n_services > 1
     if use_workers:
@@ -783,7 +749,8 @@ def run_fleet_campaign(
     else:
         shard = make_shard(range(n_services), knowledge)
         if recorder is not None:
-            first = shard.members[0]
+            # The members wrote their services' facts when they attached.
+            loop = shard.members[0].loop
             recorder.set_header(
                 kind="fleet",
                 scenario=scenario_name,
@@ -791,17 +758,11 @@ def run_fleet_campaign(
                 n_services=n_services,
                 episodes_per_service=episodes_per_service,
                 share_knowledge=share_knowledge,
-                threshold=threshold,
-                include_invasive=include_invasive,
+                threshold=loop.threshold,
+                include_invasive=loop.harness.include_invasive,
                 member_seeds=[
                     member.member_seed for member in shard.members.values()
                 ],
-                beans=sorted(first.service.app.container.ejbs),
-                capacities={
-                    "web": first.service.web.capacity,
-                    "app": first.service.app.capacity,
-                    "db": first.service.db.capacity,
-                },
             )
         executor = contextlib.nullcontext(shard)
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.approaches.signature import SignatureApproach
-from repro.core.synopses.base import Synopsis
 from repro.core.synopses.nearest_neighbor import NearestNeighborSynopsis
 from repro.experiments.campaign import CampaignResult, run_episode, settle
 from repro.faults.base import Fault
@@ -29,6 +28,10 @@ from repro.simulator.rng import derive_rng
 from repro.simulator.service import MultitierService
 
 __all__ = ["FleetMember", "FleetRoundStats"]
+
+# Healthy ticks a spared replica settles for in its round (the episode
+# engine's default), giving up after twice as many.
+_SPARE_SETTLE_TICKS = 30
 
 
 @dataclass
@@ -46,18 +49,16 @@ class FleetRoundStats:
 class FleetMember:
     """One replica's full healing stack, advanced round by round.
 
+    Every replica is a stock-sized service healed by the signature
+    approach over a nearest neighbor synopsis (the cheapest to keep
+    current online), wrapped for knowledge sharing.
+
     Args:
         index: replica position in the fleet (also its knowledge-base
             source id).
         seed: fleet root seed; the member derives its own service seed
             from ``(seed, "fleet-member", index)`` so replicas see
             statistically independent workloads and noise.
-        config: sizing template; the member's copy gets its derived
-            seed (a shared template keeps replicas homogeneous, the
-            usual fleet deployment).
-        synopsis: local synopsis instance (default: nearest neighbor,
-            the cheapest to keep current online).
-        threshold / include_invasive: forwarded to the healing loop.
         scenario: a :class:`repro.scenarios.packs.ScenarioPack` that
             shapes this member's workload/SLO (None keeps the plain
             constant-rate service).
@@ -76,10 +77,6 @@ class FleetMember:
         self,
         index: int,
         seed: int,
-        config: ServiceConfig | None = None,
-        synopsis: Synopsis | None = None,
-        threshold: int = 5,
-        include_invasive: bool = True,
         scenario=None,
         recorder=None,
         telemetry: bool = False,
@@ -89,33 +86,19 @@ class FleetMember:
             derive_rng(seed, "fleet-member", index).integers(2**31)
         )
         self.member_seed = member_seed
-        template = config if config is not None else ServiceConfig()
-        member_config = template.copy()
-        member_config.seed = member_seed
         if scenario is not None:
             from repro.scenarios.packs import build_scenario_service
 
-            self.service = build_scenario_service(scenario, member_config)
+            self.service = build_scenario_service(scenario, seed=member_seed)
         else:
-            self.service = MultitierService(member_config)
+            self.service = MultitierService(ServiceConfig(seed=member_seed))
         self.recorder = recorder
         if recorder is not None:
-            from repro.scenarios.trace import RecordingInjector
-
-            self.injector = RecordingInjector(
-                self.service, recorder, member=index
-            )
-            self.service.tick_hooks.append(
-                lambda snapshot, _i=index: recorder.tick(_i, snapshot)
-            )
+            self.injector = recorder.attach(self.service, member=index)
         else:
             self.injector = FaultInjector(self.service)
         self.approach = KnowledgeSharingApproach(
-            SignatureApproach(
-                synopsis
-                if synopsis is not None
-                else NearestNeighborSynopsis(ALL_FIX_KINDS)
-            ),
+            SignatureApproach(NearestNeighborSynopsis(ALL_FIX_KINDS)),
             source=index,
         )
         telemetry_obj = None
@@ -127,8 +110,6 @@ class FleetMember:
             self.service,
             self.approach,
             injector=self.injector,
-            threshold=threshold,
-            include_invasive=include_invasive,
             seed=member_seed,
             telemetry=telemetry_obj,
         )
@@ -156,12 +137,7 @@ class FleetMember:
             self.recorder.absorb(self.index, self.service.tick, entries)
         return self.approach.absorb(entries)
 
-    def run_round(
-        self,
-        fault: Fault | None,
-        max_episode_wait: int = 150,
-        settle_ticks: int = 30,
-    ) -> FleetRoundStats:
+    def run_round(self, fault: Fault | None) -> FleetRoundStats:
         """Run one strike slot; report at the barrier.
 
         A ``None`` slot (this replica spared by the strike) still
@@ -177,16 +153,13 @@ class FleetMember:
         start_tick = self.service.tick
         reports_before = len(self.result.reports)
         if fault is None:
-            settle(self.loop, settle_ticks, max_ticks=settle_ticks * 2)
-        else:
-            run_episode(
+            settle(
                 self.loop,
-                self.injector,
-                fault,
-                self.result,
-                max_episode_wait=max_episode_wait,
-                settle_ticks=settle_ticks,
+                _SPARE_SETTLE_TICKS,
+                max_ticks=2 * _SPARE_SETTLE_TICKS,
             )
+        else:
+            run_episode(self.loop, self.injector, fault, self.result)
         elapsed = self.service.tick - start_tick
         self.result.total_ticks = self.service.tick
         downtime = sum(

@@ -1,10 +1,11 @@
 """Campaign oracle, delta-debugging shrinker, and hard-case corpus.
 
 The scenario fuzzer's back half.  :func:`run_generated` executes one
-:class:`~repro.scenarios.generator.GeneratedScenario` as a standard
-healing campaign (optionally recording its telemetry trace), and
-:func:`classify` applies the **campaign-level oracle** — it grades the
-whole run, not individual assertions, into hard-case verdicts:
+:class:`~repro.scenarios.generator.GeneratedScenario` through
+:func:`~repro.scenarios.runner.run_scenario` (optionally recording its
+telemetry trace), and :func:`classify` applies the **campaign-level
+oracle** — it grades the whole run, not individual assertions, into
+hard-case verdicts:
 
 ``missed_detection``
     a fault was injected but the detector never fired within the
@@ -43,12 +44,10 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from repro.experiments.campaign import CampaignResult, run_campaign
+from repro.experiments.campaign import CampaignResult
 from repro.faults.catalog import catalog_entry
 from repro.scenarios.generator import GeneratedScenario, generate_scenario
-from repro.scenarios.packs import build_scenario_service
-from repro.scenarios.runner import build_approach
-from repro.scenarios.trace import RecordingInjector, TraceRecorder
+from repro.scenarios.runner import ScenarioRunResult, run_scenario
 
 __all__ = [
     "CorpusEntry",
@@ -120,20 +119,30 @@ _FIX_TIER = {
 }
 
 
+def _breach_window(spec: GeneratedScenario) -> int:
+    """Ticks after a heal in which an SLO violation counts against it.
+
+    The window must not reach past the inter-episode settle barrier, or
+    the *next* episode's fault would read as a failed heal of this one.
+    A violation inside the settle window is safe: the next injection
+    only happens after ``settle_ticks`` compliant ticks in a row.
+    """
+    return min(POST_HEAL_WINDOW, spec.settle_ticks)
+
+
 @dataclass
 class GeneratedRun:
-    """One executed generated scenario plus its oracle grading."""
+    """One executed generated scenario plus its oracle grading.
+
+    ``scenario_run`` is what :func:`run_scenario` returned: the
+    campaign, its per-tick SLO timeline, the approach name and the
+    trace and event-log provenance.
+    """
 
     spec: GeneratedScenario
-    result: CampaignResult
-    slo_flags: list[bool]
-    verdicts: tuple[str, ...] = ()
-    approach: str = "signature"
-    threshold: int = 5
-    trace_path: str | None = None
-    trace_sha256: str | None = None
-    events_path: str | None = None
-    events_sha256: str | None = None
+    threshold: int
+    verdicts: tuple[str, ...]
+    scenario_run: ScenarioRunResult
 
     @property
     def primary_verdict(self) -> str | None:
@@ -141,7 +150,7 @@ class GeneratedRun:
 
     @property
     def fingerprint(self) -> str:
-        return fingerprint_result(self.result)
+        return fingerprint_result(self.scenario_run.result)
 
 
 def run_generated(
@@ -151,104 +160,25 @@ def run_generated(
     threshold: int = 5,
     events_path: str | None = None,
 ) -> GeneratedRun:
-    """Run one generated scenario as a healing campaign and grade it.
-
-    Mirrors :func:`repro.scenarios.runner.run_scenario` (same episode
-    engine, same recording hooks) but keeps a per-tick SLO-violation
-    timeline, which the ``slo_breach_after_heal`` oracle needs and the
-    campaign result does not carry.
-    """
-    pack = spec.to_pack()
-    service = build_scenario_service(pack, seed=spec.seed)
-    approach_obj = build_approach(approach)
-
-    slo_flags: list[bool] = []
-    service.tick_hooks.append(
-        lambda snapshot: slo_flags.append(bool(snapshot.slo_violated))
-    )
-
-    recorder = None
-    injector = None
-    sha = None
-    if record_path is not None:
-        recorder = TraceRecorder(record_path)
-        recorder.set_header(
-            kind="campaign",
-            scenario=spec.name,
-            seed=spec.seed,
-            n_episodes=spec.n_episodes,
-            approach=approach,
-            threshold=threshold,
-            include_invasive=True,
-            beans=sorted(service.app.container.ejbs),
-            capacities={
-                "web": service.web.capacity,
-                "app": service.app.capacity,
-                "db": service.db.capacity,
-            },
-        )
-        injector = RecordingInjector(service, recorder)
-        service.tick_hooks.append(lambda snapshot: recorder.tick(0, snapshot))
-
-    telemetry = None
-    if events_path is not None:
-        from repro.telemetry import HealingTelemetry
-
-        telemetry = HealingTelemetry(member=0)
-
-    result = run_campaign(
-        approach_obj,
-        n_episodes=spec.n_episodes,
+    """Run one generated scenario as a healing campaign and grade it."""
+    scenario_run = run_scenario(
+        spec.to_pack(),
         seed=spec.seed,
-        faults=spec.build_faults(),
-        threshold=threshold,
-        max_episode_wait=spec.max_episode_wait,
-        settle_ticks=spec.settle_ticks,
-        service=service,
-        injector=injector,
-        telemetry=telemetry,
-    )
-    if recorder is not None:
-        recorder.summary(0, result.injected, result.undetected)
-        sha = recorder.close()
-    events_sha = None
-    if telemetry is not None:
-        from repro.telemetry import dump_events
-
-        events_sha = dump_events(
-            events_path,
-            {
-                "kind": "campaign",
-                "scenario": spec.name,
-                "seed": spec.seed,
-                "approach": approach,
-                "n_episodes": spec.n_episodes,
-            },
-            [telemetry.events],
-        )
-
-    run = GeneratedRun(
-        spec=spec,
-        result=result,
-        slo_flags=slo_flags,
         approach=approach,
-        threshold=threshold,
-        trace_path=record_path,
-        trace_sha256=sha,
+        record_path=record_path,
         events_path=events_path,
-        events_sha256=events_sha,
+        threshold=threshold,
     )
-    # The breach window must not reach past the inter-episode settle
-    # barrier, or the *next* episode's fault would read as a failed
-    # heal of this one.  A violation inside the settle window is safe:
-    # the next injection only happens after settle_ticks compliant
-    # ticks in a row.
-    run.verdicts = classify(
-        result,
-        slo_flags,
-        post_heal_window=min(POST_HEAL_WINDOW, spec.settle_ticks),
+    return GeneratedRun(
+        spec=spec,
+        threshold=threshold,
+        verdicts=classify(
+            scenario_run.result,
+            scenario_run.slo_flags,
+            post_heal_window=_breach_window(spec),
+        ),
+        scenario_run=scenario_run,
     )
-    return run
 
 
 # ----------------------------------------------------------------------
@@ -305,6 +235,22 @@ def _is_oscillating(report) -> bool:
     return False
 
 
+def _report_verdicts(report, slo_flags: list[bool], window: int) -> set[str]:
+    """The verdicts one episode report earns on its own."""
+    found: set[str] = set()
+    if report.admin_resolved or not report.recovered:
+        found.add("failed_repair")
+    if _is_oscillating(report):
+        found.add("oscillating_repair")
+    if _is_wrong_tier(report):
+        found.add("wrong_tier_root_cause")
+    if report.recovered_at is not None:
+        lo = report.recovered_at + 1
+        if any(slo_flags[lo : lo + window]):
+            found.add("slo_breach_after_heal")
+    return found
+
+
 def classify(
     result: CampaignResult,
     slo_flags: list[bool],
@@ -315,17 +261,7 @@ def classify(
     if result.undetected > 0:
         found.add("missed_detection")
     for report in result.reports:
-        if report.admin_resolved or not report.recovered:
-            found.add("failed_repair")
-        if _is_oscillating(report):
-            found.add("oscillating_repair")
-        if _is_wrong_tier(report):
-            found.add("wrong_tier_root_cause")
-        if report.recovered_at is not None:
-            lo = report.recovered_at + 1
-            hi = min(len(slo_flags), lo + post_heal_window)
-            if any(slo_flags[lo:hi]):
-                found.add("slo_breach_after_heal")
+        found |= _report_verdicts(report, slo_flags, post_heal_window)
     return tuple(v for v in VERDICTS if v in found)
 
 
@@ -426,8 +362,6 @@ def _run_fleet(spec: GeneratedScenario):
         episodes_per_service=int(fleet.get("episodes_per_service", 2)),
         seed=spec.seed,
         workers=1,
-        p_correlated=float(fleet.get("p_correlated", 0.4)),
-        p_cascade=float(fleet.get("p_cascade", 0.15)),
         scenario=spec.to_pack(),
     )
 
@@ -653,6 +587,7 @@ def _entry_from_run(
     fleet_fp = None
     if with_fleet and int(run.spec.fleet.get("n_services", 1)) > 1:
         fleet_fp = fingerprint_fleet(_run_fleet(run.spec))
+    result = run.scenario_run.result
     return CorpusEntry(
         name=f"{verdict}-{'-'.join(kinds)[:60]}-{run.spec.spec_hash()[:8]}",
         bucket=bucket,
@@ -660,14 +595,14 @@ def _entry_from_run(
         spec=run.spec,
         fingerprint=run.fingerprint,
         fleet_fingerprint=fleet_fp,
-        approach=run.approach,
+        approach=run.scenario_run.approach,
         threshold=run.threshold,
         found=found,
         summary={
-            "episodes_healed": len(run.result.reports),
-            "injected": run.result.injected,
-            "undetected": run.result.undetected,
-            "total_ticks": run.result.total_ticks,
+            "episodes_healed": len(result.reports),
+            "injected": result.injected,
+            "undetected": result.undetected,
+            "total_ticks": result.total_ticks,
             "slots": run.spec.n_episodes,
         },
     )
@@ -797,41 +732,24 @@ def _offending_kinds(run: GeneratedRun) -> list[str]:
 
     The bucket key must describe the *failure mode*, not everything a
     run happened to inject — otherwise the same minimized reproducer
-    is rediscovered under a different alias every night.
+    is rediscovered under a different alias every night.  When no
+    report can be singled out, the key falls back to the plan's kinds.
     """
     verdict = run.primary_verdict
+    reports = run.scenario_run.result.reports
+    plan_kinds = sorted({slot["kind"] for slot in run.spec.fault_plan})
     if verdict == "missed_detection":
-        detected = {
-            kind
-            for report in run.result.reports
-            for kind in report.fault_kinds
-        }
-        undetected = {
-            slot["kind"] for slot in run.spec.fault_plan
-        } - detected
-        if undetected:
-            return sorted(undetected)
-        return sorted({slot["kind"] for slot in run.spec.fault_plan})
-    window = min(POST_HEAL_WINDOW, run.spec.settle_ticks)
-    offending: set[str] = set()
-    for report in run.result.reports:
-        hit = False
-        if verdict == "failed_repair":
-            hit = report.admin_resolved or not report.recovered
-        elif verdict == "oscillating_repair":
-            hit = _is_oscillating(report)
-        elif verdict == "wrong_tier_root_cause":
-            hit = _is_wrong_tier(report)
-        elif verdict == "slo_breach_after_heal":
-            if report.recovered_at is not None:
-                lo = report.recovered_at + 1
-                hi = min(len(run.slo_flags), lo + window)
-                hit = any(run.slo_flags[lo:hi])
-        if hit:
-            offending.update(report.fault_kinds)
-    if offending:
-        return sorted(offending)
-    return sorted({slot["kind"] for slot in run.spec.fault_plan})
+        detected = {kind for report in reports for kind in report.fault_kinds}
+        return sorted(set(plan_kinds) - detected) or plan_kinds
+    slo_flags = run.scenario_run.slo_flags
+    window = _breach_window(run.spec)
+    offending = {
+        kind
+        for report in reports
+        if verdict in _report_verdicts(report, slo_flags, window)
+        for kind in report.fault_kinds
+    }
+    return sorted(offending) or plan_kinds
 
 
 def _bucket_of(run: GeneratedRun) -> str:

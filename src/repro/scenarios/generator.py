@@ -299,10 +299,6 @@ class GeneratedScenario:
 
     # -- execution -----------------------------------------------------
 
-    def build_faults(self) -> list[Fault]:
-        """Fresh fault instances for one campaign, slot order."""
-        return [build_fault(slot) for slot in self.fault_plan]
-
     def to_pack(self) -> ScenarioPack:
         """The equivalent :class:`ScenarioPack`.
 

@@ -13,7 +13,7 @@ byte-identical telemetry.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -31,7 +31,6 @@ from repro.scenarios.packs import (
     get_scenario,
 )
 from repro.scenarios.trace import (
-    RecordingInjector,
     ReplayFault,
     ReplayInjector,
     ReplayService,
@@ -41,7 +40,6 @@ from repro.scenarios.trace import (
     load_trace,
     trace_sha256,
 )
-from repro.simulator.config import ServiceConfig
 
 __all__ = [
     "APPROACH_FACTORIES",
@@ -71,6 +69,15 @@ def build_approach(name: str) -> FixIdentifier:
     return APPROACH_FACTORIES[name]()
 
 
+def _resolve_approach(
+    approach: str | FixIdentifier,
+) -> tuple[FixIdentifier, str]:
+    """An approach instance and the name a trace records for it."""
+    if isinstance(approach, str):
+        return build_approach(approach), approach
+    return approach, getattr(approach, "name", type(approach).__name__)
+
+
 @dataclass
 class ScenarioRunResult:
     """One scenario campaign (live or replayed) plus provenance.
@@ -86,6 +93,8 @@ class ScenarioRunResult:
             telemetry event log (``--events``); the SHA-256 is of the
             canonical JSONL bytes, which are seed-deterministic.
         replayed: True when this result came from a trace replay.
+        slo_flags: each tick's ``slo_violated`` bit, in tick order, as
+            the live service reported it (empty for a replay).
     """
 
     scenario: str
@@ -97,6 +106,7 @@ class ScenarioRunResult:
     events_path: str | None = None
     events_sha256: str | None = None
     replayed: bool = False
+    slo_flags: list[bool] = field(default_factory=list)
 
 
 def run_scenario(
@@ -106,9 +116,7 @@ def run_scenario(
     approach: str | FixIdentifier = "signature",
     record_path: str | None = None,
     events_path: str | None = None,
-    config: ServiceConfig | None = None,
     threshold: int = 5,
-    include_invasive: bool = True,
 ) -> ScenarioRunResult:
     """Run one scenario pack as a fault-injection campaign.
 
@@ -126,20 +134,17 @@ def run_scenario(
         events_path: write the flight-recorder event log here (JSONL,
             ``repro-events/1``); bytes are a pure function of
             (scenario, seed, approach).
-        config: service sizing template; seed is applied on top.
-        threshold / include_invasive: forwarded to the healing loop.
+        threshold: forwarded to the healing loop.
     """
     pack = get_scenario(name) if isinstance(name, str) else name
     n = n_episodes if n_episodes is not None else pack.n_episodes
-    service = build_scenario_service(pack, config=config, seed=seed)
+    service = build_scenario_service(pack, seed=seed)
+    approach_obj, approach_name = _resolve_approach(approach)
 
-    if isinstance(approach, str):
-        approach_name = approach
-        approach_obj = build_approach(approach)
-    else:
-        approach_obj = approach
-        approach_name = getattr(approach, "name", type(approach).__name__)
-
+    slo_flags: list[bool] = []
+    service.tick_hooks.append(
+        lambda snapshot: slo_flags.append(bool(snapshot.slo_violated))
+    )
     recorder = None
     injector = None
     if record_path is not None:
@@ -151,18 +156,10 @@ def run_scenario(
             n_episodes=n,
             approach=approach_name,
             threshold=threshold,
-            include_invasive=include_invasive,
-            beans=sorted(service.app.container.ejbs),
-            capacities={
-                "web": service.web.capacity,
-                "app": service.app.capacity,
-                "db": service.db.capacity,
-            },
+            # Campaigns always collect EJB-level data; replay reads it.
+            include_invasive=True,
         )
-        injector = RecordingInjector(service, recorder)
-        service.tick_hooks.append(
-            lambda snapshot: recorder.tick(0, snapshot)
-        )
+        injector = recorder.attach(service)
 
     telemetry = None
     if events_path is not None:
@@ -177,7 +174,6 @@ def run_scenario(
         seed=seed,
         faults=faults,
         threshold=threshold,
-        include_invasive=include_invasive,
         max_episode_wait=pack.max_episode_wait,
         settle_ticks=pack.settle_ticks,
         service=service,
@@ -213,6 +209,7 @@ def run_scenario(
         trace_sha256=sha,
         events_path=events_path,
         events_sha256=events_sha,
+        slo_flags=slo_flags,
     )
 
 
@@ -332,14 +329,9 @@ def replay_campaign(
             f"{path}: expected a single-service campaign trace, "
             f"got kind={header.get('kind')!r}"
         )
-    if approach is None:
-        approach = header["approach"]
-    if isinstance(approach, str):
-        approach_name = approach
-        approach_obj = build_approach(approach)
-    else:
-        approach_obj = approach
-        approach_name = getattr(approach, "name", type(approach).__name__)
+    approach_obj, approach_name = _resolve_approach(
+        header["approach"] if approach is None else approach
+    )
 
     member = members.get(0)
     if member is None:

@@ -182,6 +182,29 @@ class TraceRecorder:
             self._header = {"type": "header", "version": TRACE_VERSION}
         self._header.update(fields)
 
+    def attach(
+        self, service: MultitierService, member: int = 0
+    ) -> RecordingInjector:
+        """Record ``service`` as ``member``; returns its injector.
+
+        Writes the service's beans and tier capacities into the header
+        (replay rebuilds its stand-in service from them; a fleet's
+        replicas share them) and records every tick.  Faults and fixes
+        reach the trace through the returned injector.
+        """
+        self.set_header(
+            beans=sorted(service.app.container.ejbs),
+            capacities={
+                "web": service.web.capacity,
+                "app": service.app.capacity,
+                "db": service.db.capacity,
+            },
+        )
+        service.tick_hooks.append(
+            lambda snapshot: self.tick(member, snapshot)
+        )
+        return RecordingInjector(service, self, member=member)
+
     def tick(self, member: int, snapshot: TickSnapshot) -> None:
         if snapshot.call_matrix is not None and self._caller_names is None:
             self._caller_names = list(snapshot.caller_names)

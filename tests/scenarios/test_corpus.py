@@ -16,6 +16,7 @@ from repro.fixes.base import FixApplication
 from repro.healing.report import EpisodeReport
 from repro.scenarios.corpus import (
     VERDICTS,
+    _bucket_of,
     _entry_from_run,
     classify,
     fingerprint_result,
@@ -179,6 +180,95 @@ class TestOracle:
         assert verdicts[0] == "failed_repair"
 
 
+def _slot(kind, **params):
+    return {"kind": kind, "params": params}
+
+
+DEADLOCK = _slot("deadlocked_threads", bean="ItemBean")
+MILD_SURGE = _slot("load_surge", factor=1.05, duration_ticks=30)
+
+
+class TestBucketKeys:
+    """The fuzzer's novelty key names the kinds that earned the verdict.
+
+    Each crafted run earns one primary verdict; where its plan also
+    holds a clean deadlock episode, the bucket leaves that kind out.
+    """
+
+    @pytest.mark.parametrize(
+        "slots, overrides, bucket",
+        [
+            (
+                [
+                    DEADLOCK,
+                    _slot(
+                        "stale_statistics",
+                        table="bids",
+                        column="item_id",
+                        phantom_skew=900.0,
+                    ),
+                ],
+                {},
+                "failed_repair:stale_statistics",
+            ),
+            (
+                [
+                    _slot("load_surge", factor=5.25, duration_ticks=240),
+                    _slot("load_surge", factor=5.0, duration_ticks=240),
+                ],
+                {
+                    "slo": {"latency_ms": 230.0, "error_rate": 0.06},
+                    "max_episode_wait": 60,
+                },
+                "oscillating_repair:load_surge",
+            ),
+            (
+                [_slot("hung_query", table="items"), DEADLOCK],
+                {},
+                "slo_breach_after_heal:hung_query",
+            ),
+            (
+                [
+                    DEADLOCK,
+                    _slot("transient_glitch", multiplier=22.0, duration_ticks=90),
+                ],
+                {},
+                "wrong_tier_root_cause:transient_glitch",
+            ),
+            ([DEADLOCK, MILD_SURGE], {}, "missed_detection:load_surge"),
+        ],
+        ids=[
+            "failed_repair",
+            "oscillating_repair",
+            "slo_breach_after_heal",
+            "wrong_tier_root_cause",
+            "missed_detection",
+        ],
+    )
+    def test_bucket_names_the_offending_kinds(self, slots, overrides, bucket):
+        run = run_generated(make_spec(slots, **overrides))
+        assert run.primary_verdict == bucket.split(":")[0]
+        assert _bucket_of(run) == bucket
+
+    def test_clean_run_falls_back_to_the_plan_kinds(self):
+        run = run_generated(
+            make_spec([DEADLOCK, _slot("hung_query", table="items")])
+        )
+        assert run.verdicts == ()
+        assert _bucket_of(run) == "none:deadlocked_threads+hung_query"
+
+    def test_missed_kind_also_detected_falls_back_to_the_plan_kinds(self):
+        # The mild surge goes unnoticed, but the strong one is detected,
+        # so no kind is undetected in every slot.
+        strong = _slot("load_surge", factor=8.0, duration_ticks=120)
+        run = run_generated(make_spec([DEADLOCK, MILD_SURGE, strong]))
+        assert run.verdicts == ("missed_detection",)
+        assert (
+            _bucket_of(run)
+            == "missed_detection:deadlocked_threads+load_surge"
+        )
+
+
 class TestRunGenerated:
     def test_same_spec_same_fingerprint(self, rng):
         spec = make_spec([sample_fault_spec(rng, kind="deadlocked_threads")])
@@ -193,7 +283,7 @@ class TestRunGenerated:
         spec = make_spec([sample_fault_spec(rng, kind="unhandled_exception")])
         trace = str(tmp_path / "gen.jsonl")
         run = run_generated(spec, record_path=trace)
-        assert run.trace_sha256 is not None
+        assert run.scenario_run.trace_sha256 is not None
         replayed = replay_campaign(trace)
         assert fingerprint_result(replayed.result) == run.fingerprint
 
@@ -347,6 +437,25 @@ class TestCommittedCorpus:
         checks = replay_corpus(str(CORPUS_DIR), check_fleet=False)
         bad = [f"{c.entry.name}: {c.details}" for c in checks if not c.ok]
         assert not bad, "corpus drift:\n" + "\n".join(bad)
+
+    def test_every_recorded_entry_replays_to_its_fingerprint(self, tmp_path):
+        # Recording goes through the standard trace layer, so a trace
+        # replayed with a fresh loop must reproduce the pinned campaign.
+        from repro.scenarios.runner import replay_campaign
+
+        drifted = []
+        for entry in load_corpus(str(CORPUS_DIR)):
+            trace = str(tmp_path / f"{entry.name}.jsonl")
+            run_generated(
+                entry.spec,
+                approach=entry.approach,
+                threshold=entry.threshold,
+                record_path=trace,
+            )
+            replayed = replay_campaign(trace)
+            if fingerprint_result(replayed.result) != entry.fingerprint:
+                drifted.append(entry.name)
+        assert not drifted, f"replay drift: {drifted}"
 
     def test_one_fleet_entry_replays_bit_exactly(self):
         from repro.scenarios.corpus import _run_fleet, fingerprint_fleet

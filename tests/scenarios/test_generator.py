@@ -88,7 +88,7 @@ class TestGeneration:
         assert 1 <= spec.fleet["n_services"] <= 3
         # Every slot builds a real fault instance (constructor
         # validation runs), and the pack composes without error.
-        faults = spec.build_faults()
+        faults = spec.to_pack().build_faults(spec.seed)
         assert [f.kind for f in faults] == [
             slot["kind"] for slot in spec.fault_plan
         ]

@@ -109,6 +109,23 @@ class TestSingleServiceRoundTrip:
             replay_campaign(str(bogus))
 
 
+class TestSloTimeline:
+    def test_live_run_flags_every_tick(self):
+        run = run_scenario("flash_crowd", seed=7, n_episodes=3)
+        flags = run.slo_flags
+        assert len(flags) == run.result.total_ticks
+        assert run.result.reports
+        for report in run.result.reports:
+            # Detection fires on a violating tick; recovery is
+            # declared on a compliant one.
+            assert flags[report.detected_at] is True
+            assert flags[report.recovered_at] is False
+
+    def test_replay_has_no_timeline(self, recorded):
+        _, path = recorded
+        assert replay_campaign(path).slo_flags == []
+
+
 class TestFleetRoundTrip:
     @pytest.fixture(scope="class")
     def fleet_recorded(self, tmp_path_factory):
@@ -156,6 +173,22 @@ class TestFleetRoundTrip:
         allowed = set(DB_FAULT_KINDS) | {"tier_capacity_loss", "load_surge"}
         for strike in result.schedule:
             assert set(strike.kinds) <= allowed
+
+    def test_fleet_trace_bytes_are_pinned(self, tmp_path):
+        # The header's facts come from the coordinator (fleet shape,
+        # member seeds) and from the recorded services (beans,
+        # capacities); moving where either is written must not move a
+        # byte.
+        path = tmp_path / "fleet3.jsonl"
+        result = run_fleet_campaign(
+            n_services=3,
+            episodes_per_service=2,
+            seed=5,
+            record_path=str(path),
+        )
+        assert result.trace_sha256 == trace_sha256(str(path)) == (
+            "3a41a773c7f5087edbca5b8404015346bce4865919f9b5b0a9ed16470e6331a3"
+        )
 
     def test_recording_requires_in_process_runner(self, tmp_path):
         with pytest.raises(ValueError, match="workers=1"):
