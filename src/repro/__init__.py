@@ -16,8 +16,13 @@ Package map:
 * :mod:`repro.scenarios` -- named workload scenario packs and
   telemetry trace record/replay.
 
+Import each module itself (``repro.fleet.campaign``, ...): apart from
+:mod:`repro.fleet`, :mod:`repro.telemetry` and
+:mod:`repro.core.synopses`, no package re-exports anything, so a
+process loads only the modules it uses.
+
 Runtime dependencies are numpy and orjson; scipy is imported only
-inside :func:`repro.learning.chi2_sf`, so the entry points
+inside :func:`repro.learning.chi2.chi2_sf`, so the entry points
 (``repro.experiments.campaign``, ``repro.fleet.campaign``,
 ``repro.scenarios.runner``) load no other third-party package.
 ``setup.py`` reads ``__version__`` from this file.

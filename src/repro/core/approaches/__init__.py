@@ -15,27 +15,7 @@ healing loop drives — ``recommend`` fixes for a failure event,
   localization of the saturated tier;
 * :class:`SignatureApproach` — FixSym (Section 4.3.4) over a learned
   synopsis, no root-cause diagnosis at all;
-* :class:`CombinedApproach` / :class:`AdaptiveApproach` — the
-  Section 5.1 strategies merging or switching between the above.
+* :class:`CombinedApproach` — the Section 5.1 strategy that consults
+  the signature first and the diagnosis-based approaches when it is
+  unsure.
 """
-
-from repro.core.approaches.anomaly import AnomalyDetectionApproach
-from repro.core.approaches.base import FixIdentifier
-from repro.core.approaches.bottleneck import BottleneckAnalysisApproach
-from repro.core.approaches.combined import AdaptiveApproach, CombinedApproach
-from repro.core.approaches.correlation import CorrelationAnalysisApproach
-from repro.core.approaches.manual import ManualRuleBased, Rule, default_rules
-from repro.core.approaches.signature import SignatureApproach
-
-__all__ = [
-    "AdaptiveApproach",
-    "AnomalyDetectionApproach",
-    "BottleneckAnalysisApproach",
-    "CombinedApproach",
-    "CorrelationAnalysisApproach",
-    "FixIdentifier",
-    "ManualRuleBased",
-    "Rule",
-    "SignatureApproach",
-    "default_rules",
-]

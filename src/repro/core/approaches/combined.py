@@ -1,4 +1,4 @@
-"""Combined and adaptive approaches (Section 5.1).
+"""The combined approach (Section 5.1).
 
 "No single approach dominates all others under all scenarios. ...
 [The signature-based approach's] disadvantage could be overcome by
@@ -9,10 +9,7 @@ approach into a diagnosis-based approach can improve the overall
 efficiency of the latter by avoiding time-consuming diagnoses when
 previously-diagnosed failures occur."
 
-:class:`CombinedApproach` implements exactly that hybrid; the
-:class:`AdaptiveApproach` is the "adaptive algorithm to pick the right
-combination of approaches to use automatically" — Thompson sampling
-over per-approach success records.
+:class:`CombinedApproach` implements exactly that hybrid.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from repro.core.confidence import merge_recommendations
 from repro.core.types import Recommendation
 from repro.monitoring.detector import FailureEvent
 
-__all__ = ["AdaptiveApproach", "CombinedApproach"]
+__all__ = ["CombinedApproach"]
 
 
 class CombinedApproach(FixIdentifier):
@@ -98,81 +95,3 @@ class CombinedApproach(FixIdentifier):
         self.signature.observe_admin_fix(event, fix_kind)
         for diagnoser in self.diagnosers:
             diagnoser.observe_admin_fix(event, fix_kind)
-
-
-class AdaptiveApproach(FixIdentifier):
-    """Thompson-sampling selection among member approaches.
-
-    Each approach keeps a Beta(successes+1, failures+1) posterior over
-    "my top recommendation repairs the failure"; per event, one sample
-    per approach is drawn and the highest sampler is consulted.  Over
-    time the selection concentrates on whichever approach suits the
-    service's actual failure mix — without anyone configuring it.
-    """
-
-    name = "adaptive"
-    requires_invasive = False
-
-    def __init__(
-        self, members: list[FixIdentifier], rng: np.random.Generator
-    ) -> None:
-        if not members:
-            raise ValueError("members must be non-empty")
-        self.members = members
-        self._rng = rng
-        self._successes = {m.name: 0 for m in members}
-        self._failures = {m.name: 0 for m in members}
-        self._chosen_for_event: dict[int, str] = {}
-        self.selection_counts = {m.name: 0 for m in members}
-
-    def observe_tick(self, row: np.ndarray, violated: bool) -> None:
-        for member in self.members:
-            member.observe_tick(row, violated)
-
-    def recommend(
-        self, event: FailureEvent, exclude: set[str] | None = None
-    ) -> list[Recommendation]:
-        choice = self._choose(event)
-        self.selection_counts[choice.name] += 1
-        recommendations = choice.recommend(event, exclude)
-        if not recommendations:
-            # Chosen member has nothing: fall back to merging all.
-            lists = [m.recommend(event, exclude) for m in self.members]
-            recommendations = merge_recommendations(lists, exclude=exclude)
-        return recommendations
-
-    def _choose(self, event: FailureEvent) -> FixIdentifier:
-        if event.event_id in self._chosen_for_event:
-            name = self._chosen_for_event[event.event_id]
-            return next(m for m in self.members if m.name == name)
-        best_member, best_sample = self.members[0], -1.0
-        for member in self.members:
-            sample = float(
-                self._rng.beta(
-                    self._successes[member.name] + 1,
-                    self._failures[member.name] + 1,
-                )
-            )
-            if sample > best_sample:
-                best_member, best_sample = member, sample
-        self._chosen_for_event[event.event_id] = best_member.name
-        return best_member
-
-    def observe_outcome(
-        self,
-        event: FailureEvent,
-        recommendation: Recommendation,
-        fixed: bool,
-    ) -> None:
-        chosen = self._chosen_for_event.get(event.event_id)
-        if chosen is not None:
-            if fixed:
-                self._successes[chosen] += 1
-            else:
-                self._failures[chosen] += 1
-        for member in self.members:
-            member.observe_outcome(event, recommendation, fixed)
-
-    def observe_admin_fix(self, event: FailureEvent, fix_kind: str) -> None:
-        for member in self.members:
-            member.observe_admin_fix(event, fix_kind)

@@ -2,14 +2,12 @@
 
 from repro.core.synopses.adaboost import AdaBoostSynopsis
 from repro.core.synopses.base import Synopsis
-from repro.core.synopses.ensemble import EnsembleSynopsis
 from repro.core.synopses.kmeans import KMeansSynopsis
 from repro.core.synopses.naive_bayes import NaiveBayesSynopsis
 from repro.core.synopses.nearest_neighbor import NearestNeighborSynopsis
 
 __all__ = [
     "AdaBoostSynopsis",
-    "EnsembleSynopsis",
     "KMeansSynopsis",
     "NaiveBayesSynopsis",
     "NearestNeighborSynopsis",

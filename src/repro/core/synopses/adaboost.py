@@ -25,7 +25,7 @@ __all__ = ["AdaBoostSynopsis"]
 
 
 class AdaBoostSynopsis(Synopsis):
-    """SAMME-boosted decision stumps over failure symptoms.
+    """SAMME.R-boosted depth-3 trees over failure symptoms.
 
     Args:
         fix_kinds: class universe.

@@ -88,20 +88,6 @@ class Synopsis(abc.ABC):
     # Fleet knowledge transfer.
     # ------------------------------------------------------------------
 
-    def export_samples(self) -> list[tuple[np.ndarray, str]]:
-        """The (symptoms, fix) pairs this synopsis was trained on.
-
-        The unit of knowledge exchanged between deployments: a synopsis
-        trained elsewhere is replayed into a local one by merging its
-        exported samples.
-        """
-        if self.dataset is None:
-            return []
-        return [
-            (self.dataset.features[i].copy(), str(self.dataset.labels[i]))
-            for i in range(self.dataset.n_samples)
-        ]
-
     def merge_samples(
         self, samples: list[tuple[np.ndarray, str]]
     ) -> int:
@@ -157,8 +143,7 @@ class Synopsis(abc.ABC):
         """Fix kinds with confidences, best first.
 
         Confidences are in ``[0, 1]`` and comparable across queries of
-        the same synopsis (not necessarily across synopses — the
-        ensemble renormalizes).
+        the same synopsis (not necessarily across synopses).
         """
 
     def suggest(

@@ -21,30 +21,3 @@ data needs:
 * :mod:`repro.database.engine` — the per-tick execution engine tying
   the above together.
 """
-
-from repro.database.bufferpool import BufferManager, BufferPool
-from repro.database.engine import DatabaseEngine, DatabaseTickResult
-from repro.database.locks import HungTransaction, LockManager
-from repro.database.optimizer import Optimizer, PlanChoice, PlanKind
-from repro.database.queries import QueryTemplate, rubis_query_templates
-from repro.database.schema import Index, Table, rubis_schema
-from repro.database.statistics import StatisticsCatalog, TableStatistics
-
-__all__ = [
-    "BufferManager",
-    "BufferPool",
-    "DatabaseEngine",
-    "DatabaseTickResult",
-    "HungTransaction",
-    "Index",
-    "LockManager",
-    "Optimizer",
-    "PlanChoice",
-    "PlanKind",
-    "QueryTemplate",
-    "StatisticsCatalog",
-    "Table",
-    "TableStatistics",
-    "rubis_query_templates",
-    "rubis_schema",
-]

@@ -119,10 +119,6 @@ class BufferManager:
                 out[name] = _MAX_HIT_RATIO * ratio**_CONCAVITY
         return out
 
-    def miss_ratio(self, name: str, demand_pages: float) -> float:
-        """Complement of the pool's hit ratio at the given demand."""
-        return 1.0 - self.pool(name).hit_ratio(demand_pages)
-
     def set_shares(self, shares: dict[str, float]) -> None:
         """Directly assign pool shares (used by operator-error faults)."""
         if set(shares) != set(self.pools):

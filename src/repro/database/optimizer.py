@@ -6,63 +6,18 @@ pays for *actual* cardinalities.  With fresh statistics the two agree
 and plans are near-optimal; with stale statistics the optimizer can
 pick an index plan whose true cost is far above the sequential scan it
 rejected — the "suboptimal query plan" failure of Table 1 and
-Example 5.  Every plan choice exposes ``est_rows`` and ``act_rows``,
-the pair of attributes (``Xest``, ``Xact``) the paper's example FixSym
+Example 5.  Every plan choice yields ``est_rows`` and ``act_rows``, the
+pair of attributes (``Xest``, ``Xact``) the paper's example FixSym
 pattern monitors.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 from repro.database.queries import QueryTemplate
 from repro.database.schema import Table
 from repro.database.statistics import StatisticsCatalog
 
-__all__ = ["Optimizer", "PlanChoice", "PlanKind"]
-
-
-class PlanKind(enum.Enum):
-    """Physical access path chosen for a query."""
-
-    INDEX_SCAN = "index_scan"
-    FULL_SCAN = "full_scan"
-
-
-@dataclass(frozen=True)
-class PlanChoice:
-    """Outcome of optimizing and costing one query class.
-
-    Attributes:
-        template_name: the optimized query class.
-        plan: access path the optimizer selected.
-        est_rows: rows the optimizer *expected* the predicate to match.
-        act_rows: rows the predicate *actually* matches.
-        est_cost_ms: estimated execution cost (drives the choice).
-        act_cost_ms: true execution cost of the chosen plan.
-        optimal_cost_ms: true cost of the best plan in hindsight.
-    """
-
-    template_name: str
-    plan: PlanKind
-    est_rows: float
-    act_rows: float
-    est_cost_ms: float
-    act_cost_ms: float
-    optimal_cost_ms: float
-
-    @property
-    def regret_ms(self) -> float:
-        """Extra true cost paid versus the hindsight-optimal plan."""
-        return max(0.0, self.act_cost_ms - self.optimal_cost_ms)
-
-    @property
-    def misestimation(self) -> float:
-        """``act_rows / est_rows`` — Example 5's divergence signal."""
-        if self.est_rows <= 0:
-            return float("inf") if self.act_rows > 0 else 1.0
-        return self.act_rows / self.est_rows
+__all__ = ["Optimizer"]
 
 
 class Optimizer:
@@ -89,44 +44,6 @@ class Optimizer:
         self.rand_page_ms = rand_page_ms
         self.index_lookup_ms = index_lookup_ms
 
-    def optimize(
-        self,
-        template: QueryTemplate,
-        table: Table,
-        data_miss_ratio: float,
-        index_miss_ratio: float,
-    ) -> PlanChoice:
-        """Choose and cost a plan for one execution of ``template``.
-
-        Args:
-            template: the query class.
-            table: live table object (source of actual cardinality).
-            data_miss_ratio: buffer miss ratio for data pages in
-                ``[0, 1]``; scales I/O cost.
-            index_miss_ratio: buffer miss ratio for index pages.
-        """
-        act_selectivity = table.actual_selectivity(
-            template.selectivity, template.column
-        )
-        is_index, est_rows, act_rows, est_cost, act_cost, optimal = (
-            self.plan_numbers(
-                template,
-                table,
-                act_selectivity,
-                data_miss_ratio,
-                index_miss_ratio,
-            )
-        )
-        return PlanChoice(
-            template_name=template.name,
-            plan=PlanKind.INDEX_SCAN if is_index else PlanKind.FULL_SCAN,
-            est_rows=est_rows,
-            act_rows=act_rows,
-            est_cost_ms=est_cost,
-            act_cost_ms=act_cost,
-            optimal_cost_ms=optimal,
-        )
-
     def plan_numbers(
         self,
         template: QueryTemplate,
@@ -135,15 +52,27 @@ class Optimizer:
         data_miss_ratio: float,
         index_miss_ratio: float,
     ) -> tuple[bool, float, float, float, float, float]:
-        """Flat hot-path variant of :meth:`optimize`.
+        """Choose and cost a plan for one execution of ``template``.
+
+        Args:
+            template: the query class.
+            table: live table object (source of actual cardinality).
+            act_selectivity: the predicate's actual selectivity on
+                ``table`` (``table.actual_selectivity``), passed in
+                because the engine already computed it for the
+                working-set model this tick.
+            data_miss_ratio: buffer miss ratio for data pages in
+                ``[0, 1]``; scales I/O cost.
+            index_miss_ratio: buffer miss ratio for index pages.
 
         Returns ``(is_index_scan, est_rows, act_rows, est_cost_ms,
-        act_cost_ms, optimal_cost_ms)`` without building a
-        :class:`PlanChoice`; the per-tick engine loop calls this once
-        per active query class, so it avoids the dataclass and the four
-        cost-helper calls while computing the exact same numbers.
-        ``act_selectivity`` is passed in because the engine already
-        computed it for the working-set model this tick.
+        act_cost_ms, optimal_cost_ms)``: the rows the optimizer
+        *expected* the predicate to match and the rows it *actually*
+        matches, the estimated cost that drove the choice, the true
+        cost of the chosen plan and the true cost of the best plan in
+        hindsight.  The engine's tick loop inlines this computation;
+        ``tests/database/test_tick_differential.py`` pins the two
+        together.
         """
         stats = self.statistics.statistics_for(template.table)
         est_table_rows = stats.recorded_rows
@@ -154,8 +83,9 @@ class Optimizer:
         est_rows = max(est_table_rows * est_selectivity, 0.0)
         act_rows = max(table.rows * act_selectivity, 0.0)
 
-        # _index_cost, shared-term form: descent and the per-row price
-        # do not depend on the cardinality, so compute them once.
+        # Index scan: B-tree descent plus one random data-page fetch
+        # per row.  Neither depends on the cardinality, so compute
+        # them once.
         descent = self.index_lookup_ms * (0.2 + 0.8 * index_miss_ratio)
         per_row = (
             self.rand_page_ms * data_miss_ratio
@@ -165,7 +95,8 @@ class Optimizer:
         est_index = descent + est_rows * per_row
         act_index = descent + act_rows * per_row
 
-        # _full_scan_cost for the estimated and actual cardinalities.
+        # Full scan: sequential read of every page plus per-row CPU, for
+        # the estimated and the actual cardinality.
         rows_per_page = max(1, table.PAGE_BYTES // table.row_bytes)
         cpu_ms = template.cpu_ms_per_row
         est_full = (
@@ -189,31 +120,3 @@ class Optimizer:
             est_cost, act_cost = est_full, act_full
         optimal = min(act_full, act_index) if template.indexed else act_full
         return is_index, est_rows, act_rows, est_cost, act_cost, optimal
-
-    def _index_cost(
-        self,
-        template: QueryTemplate,
-        rows_out: float,
-        index_miss_ratio: float,
-        data_miss_ratio: float,
-    ) -> float:
-        """B-tree descent plus one random data-page fetch per row."""
-        descent = self.index_lookup_ms * (0.2 + 0.8 * index_miss_ratio)
-        per_row_io = self.rand_page_ms * data_miss_ratio
-        per_row_cpu = template.cpu_ms_per_row
-        return descent + rows_out * (per_row_io + per_row_cpu + 0.0001)
-
-    def _full_scan_cost(
-        self,
-        template: QueryTemplate,
-        table_rows: float,
-        table: Table,
-        data_miss_ratio: float,
-        estimated: bool,
-    ) -> float:
-        """Sequential read of every page plus per-row CPU."""
-        rows_per_page = max(1, table.PAGE_BYTES // table.row_bytes)
-        pages = max(1.0, table_rows / rows_per_page)
-        io = pages * self.seq_page_ms * data_miss_ratio
-        cpu = table_rows * template.cpu_ms_per_row
-        return io + cpu

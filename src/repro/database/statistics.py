@@ -87,10 +87,6 @@ class StatisticsCatalog:
             raise KeyError(f"no statistics for table {table_name!r}")
         return self._stats[table_name]
 
-    def estimated_rows(self, table_name: str) -> int:
-        """Cardinality as the optimizer believes it to be."""
-        return self._stats[table_name].recorded_rows
-
     def staleness(self, table_name: str) -> float:
         """Actual/recorded cardinality ratio for one table."""
         stats = self.statistics_for(table_name)
@@ -119,37 +115,24 @@ class StatisticsCatalog:
         for name in self._stats:
             self.analyze(name, now)
 
-    def run_auto_analyze(self, now: int) -> list[str]:
-        """Background policy: refresh any table past the threshold.
+    def auto_analyze_and_max_staleness(self, now: int) -> float:
+        """Background auto-analyze, then the worst staleness.
 
-        The trigger is DML volume (row-count change), as in commercial
+        The policy refreshes any table past the threshold.  Its trigger
+        is DML volume (row-count change), as in commercial
         auto-statistics facilities [1] — which means the policy is
         *blind to data-distribution drift* that arrives without bulk
         row growth.  That blind spot is exactly why the Table 1
         "suboptimal query plan" failure persists until the explicit
-        UPDATE STATISTICS fix runs.
+        UPDATE STATISTICS fix runs.  It does nothing when disabled (as
+        the stale-statistics fault's insert-burst variant does).
 
-        Returns the names of tables analyzed this invocation.  Does
-        nothing when the policy is disabled (as the stale-statistics
-        fault's insert-burst variant does).
-        """
-        if not self.auto_analyze_enabled:
-            return []
-        refreshed = []
-        for name in self._stats:
-            if self.staleness(name) > self.auto_analyze_threshold:
-                self.analyze(name, now)
-                refreshed.append(name)
-        return refreshed
-
-    def auto_analyze_and_max_staleness(self, now: int) -> float:
-        """One-pass :meth:`run_auto_analyze` + :meth:`max_staleness`.
-
-        The per-tick engine path needs both; fusing them halves the
-        staleness evaluations.  Analyzing one table only changes that
-        table's own staleness, so folding the post-analyze value into
-        the running maximum inside the loop is exactly equivalent to
-        the two sequential passes.
+        Returns :meth:`max_staleness` as it stands after the refresh.
+        The per-tick engine path needs both, so one pass does both:
+        analyzing one table only changes that table's own staleness,
+        so folding the post-analyze value into the running maximum
+        inside the loop equals analyzing first and taking the maximum
+        after.
         """
         tables = self._tables
         threshold = self.auto_analyze_threshold

@@ -24,12 +24,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from repro.core.synopses import (
-    AdaBoostSynopsis,
-    KMeansSynopsis,
-    NearestNeighborSynopsis,
-    Synopsis,
-)
+from repro.core.synopses import build_synopsis
 from repro.experiments.data import FailureEpisodeGenerator, generate_failure_dataset
 from repro.fixes.catalog import ALL_FIX_KINDS
 from repro.learning.dataset import Dataset
@@ -102,16 +97,6 @@ def _cached_datasets(
     return train, test
 
 
-def _build_synopsis(name: str, seed: int) -> Synopsis:
-    if name == "adaboost":
-        return AdaBoostSynopsis(ALL_FIX_KINDS, n_estimators=60)
-    if name == "nearest_neighbor":
-        return NearestNeighborSynopsis(ALL_FIX_KINDS)
-    if name == "kmeans":
-        return KMeansSynopsis(ALL_FIX_KINDS)
-    raise KeyError(f"unknown synopsis {name!r}")
-
-
 def run_figure4(
     n_test: int = 500,
     max_correct_fixes: int = 120,
@@ -136,7 +121,7 @@ def run_figure4(
 
     curves: dict[str, SynopsisCurve] = {}
     for name in synopsis_names:
-        synopsis = _build_synopsis(name, seed)
+        synopsis = build_synopsis(name, ALL_FIX_KINDS)
         curve = SynopsisCurve(name=name)
         wall_started = time.perf_counter()
         successes = 0

@@ -6,76 +6,3 @@ fault perturbs the simulator the way its real counterpart would and
 knows (as ground truth for benchmarks only) which fix applications
 repair it.
 """
-
-from repro.faults.app_faults import (
-    DeadlockedThreadsFault,
-    SoftwareAgingFault,
-    SourceCodeBugFault,
-    UnhandledExceptionFault,
-)
-from repro.faults.base import Fault
-from repro.faults.catalog import (
-    FAILURE_CATALOG,
-    CatalogEntry,
-    catalog_entry,
-    sample_fault,
-)
-from repro.faults.correlated import (
-    FleetStrike,
-    build_correlated_schedule,
-    per_service_queues,
-)
-from repro.faults.db_faults import (
-    BufferContentionFault,
-    HungQueryFault,
-    StaleStatisticsFault,
-    TableContentionFault,
-)
-from repro.faults.infra_faults import (
-    LoadSurgeFault,
-    NetworkFault,
-    TierCapacityLossFault,
-    TransientGlitchFault,
-)
-from repro.faults.injector import FaultInjector, InjectionRecord
-from repro.faults.operator_faults import (
-    OPERATOR_VARIANTS,
-    OperatorMisconfigFault,
-)
-from repro.faults.scenarios import (
-    FIG4_FAULT_KINDS,
-    SERVICE_PROFILES,
-    sample_fault_for_category,
-    sample_fig4_fault,
-)
-
-__all__ = [
-    "BufferContentionFault",
-    "CatalogEntry",
-    "DeadlockedThreadsFault",
-    "FAILURE_CATALOG",
-    "FIG4_FAULT_KINDS",
-    "Fault",
-    "FaultInjector",
-    "FleetStrike",
-    "HungQueryFault",
-    "InjectionRecord",
-    "LoadSurgeFault",
-    "NetworkFault",
-    "OPERATOR_VARIANTS",
-    "OperatorMisconfigFault",
-    "SERVICE_PROFILES",
-    "SoftwareAgingFault",
-    "SourceCodeBugFault",
-    "StaleStatisticsFault",
-    "TableContentionFault",
-    "TierCapacityLossFault",
-    "TransientGlitchFault",
-    "UnhandledExceptionFault",
-    "build_correlated_schedule",
-    "catalog_entry",
-    "per_service_queues",
-    "sample_fault",
-    "sample_fault_for_category",
-    "sample_fig4_fault",
-]

@@ -10,61 +10,3 @@ Every fix is an object with a ``kind`` (the class label FixSym
 predicts), an optional target, an application cost in ticks, and an
 ``apply`` method that acts on a live :class:`MultitierService`.
 """
-
-from repro.fixes.base import Fix, FixApplication
-from repro.fixes.capacity import ProvisionTier
-from repro.fixes.catalog import (
-    ALL_FIX_KINDS,
-    FAILOVER_NETWORK,
-    KILL_HUNG_QUERY,
-    MICROREBOOT_EJB,
-    NOTIFY_ADMIN,
-    PROVISION_TIER,
-    REBOOT_TIER,
-    REPARTITION_MEMORY,
-    REPARTITION_TABLE,
-    RESTART_SERVICE,
-    ROLLBACK_CONFIG,
-    UPDATE_STATISTICS,
-    build_fix,
-    fix_class,
-)
-from repro.fixes.config_fixes import FailoverNetwork, RollbackConfig
-from repro.fixes.database_fixes import (
-    KillHungQuery,
-    RepartitionMemory,
-    RepartitionTable,
-    UpdateStatistics,
-)
-from repro.fixes.escalation import NotifyAdministrator
-from repro.fixes.reboots import MicrorebootEJB, RebootTier, RestartService
-
-__all__ = [
-    "ALL_FIX_KINDS",
-    "FAILOVER_NETWORK",
-    "Fix",
-    "FixApplication",
-    "FailoverNetwork",
-    "KILL_HUNG_QUERY",
-    "KillHungQuery",
-    "MICROREBOOT_EJB",
-    "MicrorebootEJB",
-    "NOTIFY_ADMIN",
-    "NotifyAdministrator",
-    "PROVISION_TIER",
-    "ProvisionTier",
-    "REBOOT_TIER",
-    "REPARTITION_MEMORY",
-    "REPARTITION_TABLE",
-    "RESTART_SERVICE",
-    "ROLLBACK_CONFIG",
-    "RebootTier",
-    "RepartitionMemory",
-    "RepartitionTable",
-    "RestartService",
-    "RollbackConfig",
-    "UPDATE_STATISTICS",
-    "UpdateStatistics",
-    "build_fix",
-    "fix_class",
-]

@@ -18,28 +18,15 @@ the same machinery to a *fleet* of replicas:
 """
 
 from repro.fleet.campaign import (
-    FleetResult,
-    FleetWorkerError,
     aggregate_campaigns,
     run_fleet_campaign,
     weighted_mean,
 )
-from repro.fleet.knowledge import (
-    KnowledgeEntry,
-    KnowledgeSharingApproach,
-    SharedKnowledgeBase,
-)
+from repro.fleet.knowledge import SharedKnowledgeBase
 from repro.fleet.loadbalancer import FleetLoadBalancer
-from repro.fleet.member import FleetMember, FleetRoundStats
 
 __all__ = [
     "FleetLoadBalancer",
-    "FleetMember",
-    "FleetResult",
-    "FleetRoundStats",
-    "FleetWorkerError",
-    "KnowledgeEntry",
-    "KnowledgeSharingApproach",
     "SharedKnowledgeBase",
     "aggregate_campaigns",
     "run_fleet_campaign",

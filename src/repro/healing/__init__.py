@@ -5,12 +5,3 @@ into the reactive loop of Figure 3 (including the restart+notify
 escalation); :mod:`repro.healing.proactive` adds the forecast-driven
 variant of Section 5.3.
 """
-
-from repro.healing.loop import HealingHarness, SelfHealingLoop
-from repro.healing.report import EpisodeReport
-
-__all__ = [
-    "EpisodeReport",
-    "HealingHarness",
-    "SelfHealingLoop",
-]

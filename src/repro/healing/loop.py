@@ -146,7 +146,7 @@ class SelfHealingLoop:
     Args:
         service: the live service.
         approach: any :class:`FixIdentifier` (FixSym, diagnosis-based,
-            manual rules, combined, adaptive).
+            manual rules, combined).
         injector: fault injector (supplies ground-truth annotations and
             executes the administrator's oracle repair).
         threshold: Figure 3's THRESHOLD before escalation.

@@ -1,10 +1,9 @@
-"""Chi-squared tests for anomaly detection.
+"""Chi-squared goodness of fit for anomaly detection.
 
 Example 2 detects EJB misbehavior by comparing current-window call
 distributions against a baseline window: "Deviation can be detected,
-e.g., using the chi-squared statistical test; see [4]."  The tests here
-implement goodness-of-fit (current counts vs. baseline proportions) and
-independence (contingency tables).
+e.g., using the chi-squared statistical test; see [4]."  The statistic
+here compares current counts against baseline proportions.
 
 Ranking callers needs only the statistic, so :func:`chi2_statistic`
 stands alone and numpy is this module's only import.  The survival
@@ -17,12 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "chi2_goodness_of_fit",
-    "chi2_independence",
-    "chi2_sf",
-    "chi2_statistic",
-]
+__all__ = ["chi2_sf", "chi2_statistic"]
 
 
 def chi2_sf(statistic: float, dof: int) -> float:
@@ -80,42 +74,3 @@ def chi2_statistic(
 
     statistic = float(np.sum((observed - expected) ** 2 / expected))
     return statistic, observed.size - 1
-
-
-def chi2_goodness_of_fit(
-    observed: np.ndarray, expected_proportions: np.ndarray
-) -> tuple[float, float]:
-    """Test whether observed counts follow baseline proportions.
-
-    Takes :func:`chi2_statistic`'s arguments and returns ``(statistic,
-    p_value)``; its degenerate case is "no deviation" ``(0.0, 1.0)``.
-    """
-    statistic, dof = chi2_statistic(observed, expected_proportions)
-    if dof == 0:
-        return 0.0, 1.0
-    return statistic, chi2_sf(statistic, dof)
-
-
-def chi2_independence(table: np.ndarray) -> tuple[float, float]:
-    """Pearson chi-squared test of independence on a contingency table.
-
-    Rows and columns whose marginal totals are zero are dropped first;
-    a table reduced below 2x2 yields ``(0.0, 1.0)``.
-    """
-    table = np.asarray(table, dtype=float)
-    if table.ndim != 2:
-        raise ValueError(f"contingency table must be 2-D, got {table.ndim}-D")
-    if np.any(table < 0):
-        raise ValueError("contingency table entries must be non-negative")
-
-    table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
-    if table.shape[0] < 2 or table.shape[1] < 2:
-        return 0.0, 1.0
-
-    row_totals = table.sum(axis=1, keepdims=True)
-    col_totals = table.sum(axis=0, keepdims=True)
-    grand = table.sum()
-    expected = row_totals @ col_totals / grand
-    statistic = float(np.sum((table - expected) ** 2 / expected))
-    dof = (table.shape[0] - 1) * (table.shape[1] - 1)
-    return statistic, chi2_sf(statistic, dof)

@@ -4,9 +4,8 @@ FixSym consumes "multidimensional time-series data with schema
 X1, ..., Xn" (Section 4.2) where each row is the symptom vector of a
 failure state and the label is the fix that repaired it.  This module
 provides the small, explicit data plumbing that every synopsis shares:
-a feature-matrix container, deterministic train/test splitting, and
-z-score standardization (required for distance-based synopses so that
-high-magnitude counters do not dominate).
+a feature-matrix container, and the min-max scaling the distance-based
+synopses apply so that high-magnitude counters do not dominate.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Dataset", "MinMaxScaler", "Standardizer", "train_test_split"]
+__all__ = ["Dataset", "MinMaxScaler"]
 
 
 @dataclass
@@ -90,42 +89,6 @@ class Dataset:
         )
 
 
-class Standardizer:
-    """Per-feature z-score standardization fitted on training data.
-
-    Constant features (zero variance) are passed through unscaled so
-    that dead metrics — common in monitoring data where a counter never
-    moves — do not produce NaNs.
-    """
-
-    def __init__(self) -> None:
-        self.mean_: np.ndarray | None = None
-        self.scale_: np.ndarray | None = None
-
-    @property
-    def fitted(self) -> bool:
-        return self.mean_ is not None
-
-    def fit(self, features: np.ndarray) -> "Standardizer":
-        features = np.asarray(features, dtype=float)
-        if features.ndim != 2 or features.shape[0] == 0:
-            raise ValueError("need a non-empty 2-D array to fit")
-        self.mean_ = features.mean(axis=0)
-        scale = features.std(axis=0)
-        scale[scale == 0.0] = 1.0
-        self.scale_ = scale
-        return self
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        if not self.fitted:
-            raise RuntimeError("Standardizer used before fit()")
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        return (features - self.mean_) / self.scale_
-
-    def fit_transform(self, features: np.ndarray) -> np.ndarray:
-        return self.fit(features).transform(features)
-
-
 class MinMaxScaler:
     """Per-feature [0, 1] scaling fitted on training data.
 
@@ -161,30 +124,3 @@ class MinMaxScaler:
 
     def fit_transform(self, features: np.ndarray) -> np.ndarray:
         return self.fit(features).transform(features)
-
-
-def train_test_split(
-    dataset: Dataset,
-    test_fraction: float,
-    rng: np.random.Generator,
-) -> tuple[Dataset, Dataset]:
-    """Deterministically split ``dataset`` into train and test parts.
-
-    Args:
-        dataset: the data to split.
-        test_fraction: fraction of rows assigned to the test split,
-            in ``(0, 1)``.
-        rng: numpy random generator controlling the shuffle.
-
-    Returns:
-        ``(train, test)`` datasets.  Rows are shuffled before the split
-        so time-ordered failure streams do not leak ordering into the
-        evaluation.
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    order = rng.permutation(dataset.n_samples)
-    n_test = max(1, int(round(dataset.n_samples * test_fraction)))
-    test_idx = order[:n_test]
-    train_idx = order[n_test:]
-    return dataset.subset(train_idx), dataset.subset(test_idx)

@@ -1,4 +1,4 @@
-"""Distance functions used by the instance-based synopses.
+"""The distance function used by the instance-based synopses.
 
 Nearest neighbor maps a new failure point to the closest previously
 observed point (Section 5.2, synopsis 1); k-means maps it to the
@@ -10,25 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["euclidean", "manhattan", "pairwise_euclidean"]
-
-
-def euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
-
-
-def manhattan(a: np.ndarray, b: np.ndarray) -> float:
-    """L1 distance between two vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(np.abs(a - b)))
+__all__ = ["pairwise_euclidean"]
 
 
 def pairwise_euclidean(points: np.ndarray, queries: np.ndarray) -> np.ndarray:

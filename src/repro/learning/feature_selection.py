@@ -2,18 +2,17 @@
 
 "Correlation analysis proceeds by identifying attributes in the data
 that are correlated strongly with (or predictive of) a failure-
-indicator attribute" (Section 4.3.2).  Two rankings are provided:
-absolute Pearson correlation (fast, linear) and discrete mutual
-information (captures non-linear association), plus the data-
-transformation operator the paper cites from [28] — top-k feature
-selection.
+indicator attribute" (Section 4.3.2).  The ranking here is absolute
+Pearson correlation; the Bayesian-network mode of the correlation
+approach ranks by mutual information instead
+(:meth:`repro.learning.bayesnet.DiscreteBayesNet.attribute_relevance`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["correlation_ranking", "mutual_information", "top_k_features"]
+__all__ = ["correlation_ranking"]
 
 
 def correlation_ranking(features: np.ndarray, indicator: np.ndarray) -> np.ndarray:
@@ -38,65 +37,3 @@ def correlation_ranking(features: np.ndarray, indicator: np.ndarray) -> np.ndarr
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = np.where(denom > 0, (x.T @ y) / denom, 0.0)
     return np.abs(corr)
-
-
-def mutual_information(
-    feature: np.ndarray, indicator: np.ndarray, n_bins: int = 8
-) -> float:
-    """Discrete mutual information between one metric and an indicator.
-
-    The metric is quantile-binned; the indicator is treated as already
-    categorical (e.g. SLO-violated yes/no).
-    """
-    feature = np.asarray(feature, dtype=float)
-    indicator = np.asarray(indicator)
-    if len(feature) != len(indicator):
-        raise ValueError(
-            f"feature has {len(feature)} rows, indicator {len(indicator)}"
-        )
-    if len(feature) == 0:
-        return 0.0
-    quantiles = np.linspace(0, 1, n_bins + 1)[1:-1]
-    edges = np.unique(np.quantile(feature, quantiles))
-    binned = np.searchsorted(edges, feature, side="right")
-    categories, y = np.unique(indicator, return_inverse=True)
-    n_x = int(binned.max()) + 1
-    n_y = len(categories)
-    joint = np.zeros((n_x, n_y))
-    np.add.at(joint, (binned, y), 1.0)
-    joint /= joint.sum()
-    p_x = joint.sum(axis=1, keepdims=True)
-    p_y = joint.sum(axis=0, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(joint > 0, joint / (p_x * p_y), 1.0)
-        term = np.where(joint > 0, joint * np.log(ratio), 0.0)
-    return float(term.sum())
-
-
-def top_k_features(
-    features: np.ndarray, indicator: np.ndarray, k: int, method: str = "correlation"
-) -> np.ndarray:
-    """Indices of the ``k`` attributes most associated with the indicator.
-
-    Args:
-        method: ``"correlation"`` (Pearson) or ``"mutual_information"``.
-
-    Returns:
-        Feature indices sorted by decreasing association strength.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    if method == "correlation":
-        scores = correlation_ranking(features, indicator)
-    elif method == "mutual_information":
-        scores = np.asarray(
-            [
-                mutual_information(features[:, j], indicator)
-                for j in range(features.shape[1])
-            ]
-        )
-    else:
-        raise ValueError(f"unknown ranking method: {method!r}")
-    order = np.argsort(-scores, kind="stable")
-    return order[: min(k, features.shape[1])]

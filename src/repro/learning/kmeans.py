@@ -1,24 +1,10 @@
-"""k-means clustering and the paper's per-fix centroid classifier.
+"""k-means clustering: Lloyd's algorithm with k-means++ seeding.
 
-"K-means clustering works by partitioning the failure data points
-collected so far into clusters based on the successful fix found for
-each point.  A representative data point is computed for each cluster,
-e.g., the mean of all points in the cluster.  Each new failure data
-point f is mapped to the cluster whose representative point is closest
-to f, and the corresponding fix is recommended for f."  (Section 5.2,
-synopsis 2.)
-
-Two algorithms live here:
-
-* :class:`PerClassCentroids` — the exact construction above: one
-  cluster per fix label, representative = class mean.  Its accuracy
-  plateau in Figure 4 (~87%) falls out of fixes whose symptom
-  signatures are multimodal (e.g. microreboot heals both deadlocks and
-  unhandled exceptions, whose symptom vectors live in different
-  regions), which a single mean cannot represent.
-* :class:`KMeans` — general Lloyd's algorithm with k-means++ seeding,
-  used by the correlation-analysis diagnosis ("by clustering the data
-  as in [8]", Example 3) and by the extended multi-centroid ablations.
+The paper's k-means synopsis (Section 5.2, synopsis 2) keeps one
+cluster per fix, whose representative is the class mean; that
+construction lives in :class:`repro.core.synopses.KMeansSynopsis`.
+:class:`KMeans` splits one fix's points into several sub-clusters for
+the synopsis's multi-centroid ablation.
 """
 
 from __future__ import annotations
@@ -27,56 +13,7 @@ import numpy as np
 
 from repro.learning.distance import pairwise_euclidean
 
-__all__ = ["KMeans", "PerClassCentroids"]
-
-
-class PerClassCentroids:
-    """Nearest-centroid classifier with one centroid per class."""
-
-    def __init__(self) -> None:
-        self.centroids_: np.ndarray | None = None
-        self.classes_: np.ndarray | None = None
-
-    @property
-    def fitted(self) -> bool:
-        return self.centroids_ is not None
-
-    def fit(self, features: np.ndarray, labels: np.ndarray) -> "PerClassCentroids":
-        """Recompute per-class means.
-
-        The paper notes "the clustering is redone after each failure is
-        fixed successfully"; callers therefore re-invoke :meth:`fit` on
-        the grown dataset, which is cheap (one pass).
-        """
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels)
-        if len(features) == 0:
-            raise ValueError("cannot fit centroids on zero samples")
-        self.classes_ = np.unique(labels)
-        self.centroids_ = np.vstack(
-            [features[labels == c].mean(axis=0) for c in self.classes_]
-        )
-        return self
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        if not self.fitted:
-            raise RuntimeError("PerClassCentroids used before fit()")
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        distances = pairwise_euclidean(self.centroids_, features)
-        return self.classes_[np.argmin(distances, axis=1)]
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Soft assignments from inverse-distance weighting.
-
-        Provides the confidence estimate Section 5.2 asks synopses for;
-        a point equidistant from two centroids yields ~0.5/0.5.
-        """
-        if not self.fitted:
-            raise RuntimeError("PerClassCentroids used before fit()")
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        distances = pairwise_euclidean(self.centroids_, features)
-        inverse = 1.0 / (distances + 1e-9)
-        return inverse / inverse.sum(axis=1, keepdims=True)
+__all__ = ["KMeans"]
 
 
 class KMeans:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["accuracy", "confusion_matrix", "macro_f1"]
+__all__ = ["accuracy", "confusion_matrix"]
 
 
 def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -42,21 +42,3 @@ def confusion_matrix(
     for t, p in zip(y_true, y_pred):
         matrix[index[t], index[p]] += 1
     return matrix, labels
-
-
-def macro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Unweighted mean of per-class F1 scores.
-
-    Classes absent from both truth and prediction contribute an F1 of
-    zero only if they appear in the label union; classes with no
-    predicted or true positives get F1 = 0.
-    """
-    matrix, labels = confusion_matrix(y_true, y_pred)
-    f1s = []
-    for i in range(len(labels)):
-        tp = matrix[i, i]
-        fp = matrix[:, i].sum() - tp
-        fn = matrix[i, :].sum() - tp
-        denom = 2 * tp + fp + fn
-        f1s.append(0.0 if denom == 0 else 2 * tp / denom)
-    return float(np.mean(f1s))

@@ -2,59 +2,17 @@
 
 Section 5.2 flags online learning as a key challenge: "Unless the
 synopses are kept up to date efficiently as new data becomes available,
-accuracy can drop sharply in dynamic settings."  Two pieces support
-that in this reproduction:
-
-* :class:`RetrainScheduler` — decides *when* a batch learner (AdaBoost)
-  is retrained as labelled fixes accumulate, trading freshness against
-  the learning cost measured in Table 3.
-* :class:`DriftDetector` — a windowed accuracy monitor that triggers a
-  retrain when recent prediction quality degrades, the standard remedy
-  when workloads or configurations shift under the synopsis.
+accuracy can drop sharply in dynamic settings."  :class:`DriftDetector`
+is a windowed accuracy monitor that triggers a retrain when recent
+prediction quality degrades, the standard remedy when workloads or
+configurations shift under the synopsis.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-__all__ = ["DriftDetector", "RetrainScheduler"]
-
-
-class RetrainScheduler:
-    """Decide whether a new labelled sample warrants a retrain.
-
-    Args:
-        every: retrain after this many new samples.  ``1`` reproduces
-            the paper's FixSym loop, which updates the synopsis after
-            every attempted fix (Figure 3, line 15); larger values
-            amortize AdaBoost's training cost.
-        min_samples: never retrain below this dataset size.
-    """
-
-    def __init__(self, every: int = 1, min_samples: int = 1) -> None:
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        if min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-        self.every = every
-        self.min_samples = min_samples
-        self._since_last = 0
-        self._total = 0
-
-    def observe(self) -> bool:
-        """Record one new sample; return True if a retrain is due."""
-        self._total += 1
-        self._since_last += 1
-        if self._total < self.min_samples:
-            return False
-        if self._since_last >= self.every:
-            self._since_last = 0
-            return True
-        return False
-
-    def force(self) -> None:
-        """Reset the counter as if a retrain just happened."""
-        self._since_last = 0
+__all__ = ["DriftDetector"]
 
 
 class DriftDetector:

@@ -1,10 +1,11 @@
-"""Weighted decision stumps — the simplest weak learners.
+"""The weighted split search of boosting's weak learners.
 
 The paper's best synopsis is "Adaboost ... an ensemble learning
 technique that can produce accurate predictions by combining many
 simple and moderately inaccurate synopses (or weak learners)"
-(Section 5.2, synopsis 3).  A decision stump — one feature, one
-threshold — is the classical weak learner [14].
+(Section 5.2, synopsis 3).  Its weak learners are shallow trees
+(:mod:`repro.learning.tree`); each node picks one feature and one
+threshold, the split a decision stump [14] makes.
 
 Splits minimize weighted Gini impurity rather than misclassification:
 with many balanced classes, misclassification error ties across most
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DecisionStump", "best_gini_split"]
+__all__ = ["best_gini_split"]
 
 # Candidate thresholds per feature are capped so that fitting stays
 # O(n_features * n_thresholds) vectorized passes even on large windows.
@@ -81,92 +82,3 @@ def best_gini_split(
             best_threshold = float(thresholds[j])
 
     return best_impurity, best_feature, best_threshold
-
-
-class DecisionStump:
-    """A one-split, multiclass decision stump trained on weighted data.
-
-    The stump picks the Gini-optimal ``(feature, threshold)`` pair and
-    predicts the weighted-majority class on each side of the split.
-    """
-
-    def __init__(self) -> None:
-        self.feature_: int | None = None
-        self.threshold_: float = 0.0
-        self.left_class_ = None
-        self.right_class_ = None
-
-    @property
-    def fitted(self) -> bool:
-        return self.left_class_ is not None
-
-    def fit(
-        self,
-        features: np.ndarray,
-        labels: np.ndarray,
-        sample_weight: np.ndarray,
-        classes: np.ndarray,
-    ) -> "DecisionStump":
-        """Fit the stump to weighted samples.
-
-        Args:
-            features: ``(n, d)`` feature matrix.
-            labels: ``(n,)`` class labels.
-            sample_weight: ``(n,)`` non-negative weights (need not be
-                normalized).
-            classes: full class vocabulary; sides of the split predict
-                the weight-majority class restricted to this vocabulary.
-        """
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels)
-        sample_weight = np.asarray(sample_weight, dtype=float)
-        n_samples = len(features)
-        if n_samples == 0:
-            raise ValueError("cannot fit a stump on zero samples")
-
-        class_index = {c: j for j, c in enumerate(classes)}
-        onehot = np.zeros((n_samples, len(classes)))
-        for i, label in enumerate(labels):
-            onehot[i, class_index[label]] = sample_weight[i]
-        totals = onehot.sum(axis=0)
-
-        _, feature, threshold = best_gini_split(features, onehot)
-        if feature is None:
-            # All features constant: predict the global majority class.
-            majority = classes[int(np.argmax(totals))]
-            self.feature_ = 0
-            self.threshold_ = float(np.inf)
-            self.left_class_ = majority
-            self.right_class_ = majority
-            return self
-
-        goes_left = features[:, feature] <= threshold
-        left_totals = onehot[goes_left].sum(axis=0)
-        right_totals = totals - left_totals
-        self.feature_ = feature
-        self.threshold_ = threshold
-        self.left_class_ = classes[int(np.argmax(left_totals))]
-        self.right_class_ = classes[int(np.argmax(right_totals))]
-        return self
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Predict class labels for each row of ``features``."""
-        if not self.fitted:
-            raise RuntimeError("DecisionStump used before fit()")
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        goes_left = features[:, self.feature_] <= self.threshold_
-        out = np.empty(len(features), dtype=object)
-        out[goes_left] = self.left_class_
-        out[~goes_left] = self.right_class_
-        try:
-            return out.astype(type(self.left_class_))
-        except (TypeError, ValueError):
-            return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.fitted:
-            return "DecisionStump(unfitted)"
-        return (
-            f"DecisionStump(x[{self.feature_}] <= {self.threshold_:.4g} "
-            f"-> {self.left_class_} else {self.right_class_})"
-        )

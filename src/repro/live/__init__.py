@@ -27,21 +27,3 @@ Unlike the simulator, the live backend is wall-clock and best-effort:
 results vary run to run, and nothing here feeds the bit-exact goldens.
 See ``docs/live.md``.
 """
-
-from repro.live.policy import (
-    HealingAction,
-    HealingOutcome,
-    HealingPolicy,
-    HealingRecord,
-    HealingTrigger,
-    PolicyEngine,
-)
-
-__all__ = [
-    "HealingAction",
-    "HealingOutcome",
-    "HealingPolicy",
-    "HealingRecord",
-    "HealingTrigger",
-    "PolicyEngine",
-]

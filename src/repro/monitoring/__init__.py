@@ -17,21 +17,3 @@ metrics."  This package produces exactly that:
 * :mod:`repro.monitoring.detector` — the SLO-compliance failure
   detector that turns sustained violations into failure events.
 """
-
-from repro.monitoring.baseline import BaselineModel
-from repro.monitoring.collectors import MetricCollector
-from repro.monitoring.detector import FailureDetector, FailureEvent
-from repro.monitoring.schema import MetricSpec, metric_registry
-from repro.monitoring.timeseries import MetricStore
-from repro.monitoring.tracing import CallMatrixTracer
-
-__all__ = [
-    "BaselineModel",
-    "CallMatrixTracer",
-    "FailureDetector",
-    "FailureEvent",
-    "MetricCollector",
-    "MetricSpec",
-    "MetricStore",
-    "metric_registry",
-]

@@ -118,16 +118,6 @@ class BaselineModel:
         self._std = np.maximum(std, _STD_FLOOR)
         self._pending = None
 
-    def refresh_if_healthy(self, violated: bool) -> None:
-        """Online baselining: refit when the service looks healthy.
-
-        Table 2 lists "online baselining needed" as anomaly detection's
-        adaptivity cost; this is that mechanism, gated on SLO health to
-        avoid contamination.
-        """
-        if not violated and len(self.store) >= self.baseline_window:
-            self.fit_baseline()
-
     def symptom_vector(self) -> np.ndarray:
         """Z-scores of current-window means against the baseline."""
         if not self.ready:

@@ -50,10 +50,6 @@ class MappingCollector:
     def n_metrics(self) -> int:
         return len(self.names)
 
-    def spec_for(self, name: str) -> MetricSpec:
-        """Registry declaration behind one collected metric."""
-        return self.specs[self._index[name]]
-
     def collect(self, sample: dict) -> np.ndarray:
         """One registry-ordered row; unknown sample keys are ignored."""
         row = np.zeros(len(self.names))
@@ -144,10 +140,6 @@ class MetricCollector:
     @property
     def n_metrics(self) -> int:
         return len(self.names)
-
-    def spec_for(self, name: str) -> MetricSpec:
-        """Registry declaration behind one collected metric."""
-        return self.specs[self._index[name]]
 
     def collect(self, snapshot: TickSnapshot) -> np.ndarray:
         """One registry-ordered row of floats for this tick."""

@@ -96,7 +96,10 @@ class MetricStore:
     def window_between_view(self, newest_offset: int, n: int) -> np.ndarray:
         """Zero-copy view of ``n`` rows ending ``newest_offset`` back.
 
-        Same aliasing caveat as :meth:`window_view`.
+        ``window_between_view(0, n)`` equals ``window_view(n)``; a
+        positive offset skips the most recent rows — how the baseline
+        window is kept clear of the (possibly contaminated) current
+        window.  Same aliasing caveat as :meth:`window_view`.
         """
         if newest_offset < 0:
             raise ValueError("newest_offset must be >= 0")
@@ -108,15 +111,6 @@ class MetricStore:
         view = self._buffer[end - n : end]
         view.flags.writeable = False
         return view
-
-    def window_between(self, newest_offset: int, n: int) -> np.ndarray:
-        """``n`` rows ending ``newest_offset`` rows before the latest.
-
-        ``window_between(0, n)`` equals ``window(n)``; a positive
-        offset skips the most recent rows — how the baseline window is
-        kept clear of the (possibly contaminated) current window.
-        """
-        return self.window_between_view(newest_offset, n).copy()
 
     def series(self, name: str, n: int) -> np.ndarray:
         """The most recent ``n`` values of one metric, oldest first."""

@@ -10,7 +10,7 @@ determine when the behavior of one or more EJBs deviates significantly
 from the baseline behavior."
 
 This tracer accumulates per-tick call matrices into baseline and
-current windows and exposes exactly those two views per caller.
+current windows and compares those two views per caller.
 """
 
 from __future__ import annotations
@@ -107,18 +107,6 @@ class CallMatrixTracer:
     def _current_sum(self) -> np.ndarray:
         return self._recent_sum.copy()
 
-    def baseline_split(self, caller: str) -> np.ndarray:
-        """Baseline distribution of one caller's calls across callees."""
-        i = self.caller_names.index(caller)
-        row = self._baseline_sum()[i]
-        total = row.sum()
-        return row / total if total > 0 else row
-
-    def current_counts(self, caller: str) -> np.ndarray:
-        """Current-window call counts from one caller."""
-        i = self.caller_names.index(caller)
-        return self._current_sum()[i]
-
     def callers_with_traffic(self) -> list[str]:
         """Callers with nonzero baseline traffic (testable rows)."""
         sums = self._baseline_sum().sum(axis=1)
@@ -175,18 +163,3 @@ class CallMatrixTracer:
             if score > best_score:
                 best_name, best_score = caller, score
         return best_name, best_score
-
-    def inbound_baseline(self, callee: str) -> float:
-        """Baseline per-tick inbound call volume for one bean."""
-        j = self.callee_names.index(callee)
-        window = len(self._history) - self.current_window
-        if window <= 0:
-            window = len(self._history)
-        return float(self._baseline_sum()[:, j].sum() / max(1, window))
-
-    def inbound_current(self, callee: str) -> float:
-        """Current-window per-tick inbound call volume for one bean."""
-        j = self.callee_names.index(callee)
-        return float(
-            self._current_sum()[:, j].sum() / max(1, self.current_window)
-        )

@@ -575,10 +575,6 @@ class ReplayService:
         self.restart_count = 0
         self.tick_hooks: list = []
 
-    @property
-    def remaining_ticks(self) -> int:
-        return len(self._ticks) - self._pos
-
     # -- time ----------------------------------------------------------
 
     def step(self) -> TickSnapshot:

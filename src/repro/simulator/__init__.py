@@ -9,34 +9,3 @@ discrete 1-second tick.  Each tick produces the per-tier metrics,
 EJB call matrices, and request latencies that the monitoring layer
 turns into the multidimensional time series of Section 4.2.
 """
-
-from repro.simulator.config import ServiceConfig
-from repro.simulator.ejb import EJBContainer, EJBSpec, rubis_ejbs, rubis_entry_points
-from repro.simulator.rng import derive_rng
-from repro.simulator.service import MultitierService, TickSnapshot
-from repro.simulator.slo import SLO, SLOMonitor
-from repro.simulator.workload import (
-    REQUEST_TYPES,
-    Workload,
-    WorkloadProfile,
-    bidding_profile,
-    browsing_profile,
-)
-
-__all__ = [
-    "EJBContainer",
-    "EJBSpec",
-    "MultitierService",
-    "REQUEST_TYPES",
-    "SLO",
-    "SLOMonitor",
-    "ServiceConfig",
-    "TickSnapshot",
-    "Workload",
-    "WorkloadProfile",
-    "bidding_profile",
-    "browsing_profile",
-    "derive_rng",
-    "rubis_ejbs",
-    "rubis_entry_points",
-]

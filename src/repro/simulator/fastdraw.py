@@ -18,17 +18,15 @@ therefore the default: every :class:`MultitierService` builds both
 tiers on a :class:`BufferedNormal`, on every execution path.  The
 wrapper guards the contract at runtime: a draw with unexpected
 parameters raises instead of silently desynchronizing the stream.
-
-:func:`verify_buffered_stream` is the self-check the buffered-jitter tests
-run: it replays twin generators — one scalar, one buffered — and
-asserts bitwise-identical draws and end states on this NumPy build.
+The buffered-jitter tests replay twin generators, one scalar and one
+buffered, and assert bitwise-identical draws and end states.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["JITTER", "BufferedNormal", "verify_buffered_stream"]
+__all__ = ["JITTER", "BufferedNormal"]
 
 _BLOCK = 256
 
@@ -88,37 +86,3 @@ class BufferedNormal:
             pos = 0
         self._pos = pos + 1
         return buf[pos]
-
-
-def verify_buffered_stream(
-    seed: int = 0, draws: int = 1000, block: int = _BLOCK
-) -> None:
-    """Assert block fills match scalar draws bitwise on this build.
-
-    Twin generators from the same seed: one serves ``draws`` scalar
-    ``normal(1.0, 0.04)`` calls, the other the same draws through a
-    :class:`BufferedNormal`.  Raises ``AssertionError`` on the first
-    divergence in values or in generator end state.
-    """
-    scalar_rng = np.random.default_rng(seed)
-    buffered_rng = np.random.default_rng(seed)
-    buffered = BufferedNormal(buffered_rng, 1.0, 0.04, block=block)
-    for i in range(draws):
-        expected = float(scalar_rng.normal(1.0, 0.04))
-        got = buffered.normal(1.0, 0.04)
-        assert got == expected, (
-            f"draw {i} diverged: buffered {got!r} != scalar {expected!r}"
-        )
-    # The buffered generator ran ahead by the unconsumed prefetch tail;
-    # equality of the *next* scalar draws proves the streams never
-    # skipped or reordered bits within the consumed prefix.
-    tail = (-draws) % block
-    if tail:
-        leftover = buffered._buf[buffered._pos :]
-        reference = scalar_rng.normal(1.0, 0.04, size=tail)
-        assert np.array_equal(leftover, reference), (
-            "prefetch tail diverged from the scalar stream"
-        )
-    assert (
-        scalar_rng.bit_generator.state == buffered_rng.bit_generator.state
-    ), "generator end states diverged"

@@ -1,8 +1,1 @@
 """The three tiers of the simulated service."""
-
-from repro.simulator.tiers.app import AppTier
-from repro.simulator.tiers.base import QueueingTier, TierResult
-from repro.simulator.tiers.db import DatabaseTier
-from repro.simulator.tiers.web import WebTier
-
-__all__ = ["AppTier", "DatabaseTier", "QueueingTier", "TierResult", "WebTier"]

@@ -1,12 +1,13 @@
 """RUBiS-like workload generation.
 
-RUBiS [20] models an eBay-style auction site; its two canonical
-transition matrices are the *browsing* mix (read-only interactions)
-and the *bidding* mix (15% read-write).  The workload generator samples
-Poisson arrivals per interaction type each tick, shaped by an arrival
-pattern (constant, diurnal, one-off flash surge, recurring bursts) —
-the "different types and rates of workloads" that active data
-collection subjects a service to (Section 4.2).  The scenario packs in
+RUBiS [20] models an eBay-style auction site; of its two canonical
+transition matrices, the *browsing* mix (read-only interactions) and
+the *bidding* mix (15% read-write), the service runs the bidding mix
+(:func:`bidding_profile`) unless given another.  The workload
+generator samples Poisson arrivals per interaction type each tick,
+shaped by an arrival pattern (constant, diurnal, one-off flash surge,
+recurring bursts) — the "different types and rates of workloads" that
+active data collection subjects a service to (Section 4.2).  The scenario packs in
 :mod:`repro.scenarios` compose these shapes with fault schedules and
 SLO profiles into named, reproducible workload scenarios.
 """
@@ -22,7 +23,6 @@ __all__ = [
     "Workload",
     "WorkloadProfile",
     "bidding_profile",
-    "browsing_profile",
 ]
 
 REQUEST_TYPES = (
@@ -61,23 +61,6 @@ class WorkloadProfile:
 
     def probability(self, request_type: str) -> float:
         return self.mix.get(request_type, 0.0)
-
-
-def browsing_profile() -> WorkloadProfile:
-    """RUBiS browsing mix: read-only interactions only."""
-    return WorkloadProfile(
-        "browsing",
-        {
-            "Home": 0.08,
-            "BrowseCategories": 0.12,
-            "SearchItemsByCategory": 0.22,
-            "SearchItemsByRegion": 0.08,
-            "ViewItem": 0.30,
-            "ViewBidHistory": 0.07,
-            "ViewUserInfo": 0.08,
-            "AboutMe": 0.05,
-        },
-    )
 
 
 def bidding_profile() -> WorkloadProfile:

@@ -1,11 +1,11 @@
-"""Tests for the five Table 2 approaches plus combined/adaptive."""
+"""Tests for the five Table 2 approaches plus the combined one."""
 
 import numpy as np
 import pytest
 
 from repro.core.approaches.anomaly import AnomalyDetectionApproach
 from repro.core.approaches.bottleneck import BottleneckAnalysisApproach
-from repro.core.approaches.combined import AdaptiveApproach, CombinedApproach
+from repro.core.approaches.combined import CombinedApproach
 from repro.core.approaches.correlation import CorrelationAnalysisApproach
 from repro.core.approaches.manual import ManualRuleBased, Rule
 from repro.core.approaches.signature import SignatureApproach
@@ -165,23 +165,6 @@ class TestCombinedAndAdaptive:
             approach.observe_outcome(event, rec, fixed=True)
         approach.recommend(event)
         assert approach.signature_decisions >= 1
-
-    def test_adaptive_routes_outcomes(self, rng):
-        members = [
-            self._signature(),
-            BottleneckAnalysisApproach(),
-        ]
-        adaptive = AdaptiveApproach(members, rng)
-        _, _, _, event = capture_event(TierCapacityLossFault("app"))
-        recommendations = adaptive.recommend(event)
-        assert recommendations
-        chosen = adaptive._chosen_for_event[event.event_id]
-        adaptive.observe_outcome(event, recommendations[0], fixed=True)
-        assert adaptive._successes[chosen] == 1
-
-    def test_adaptive_requires_members(self, rng):
-        with pytest.raises(ValueError):
-            AdaptiveApproach([], rng)
 
 
 class TestMergeRecommendations:

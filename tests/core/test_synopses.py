@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.synopses import (
-    AdaBoostSynopsis,
-    EnsembleSynopsis,
     KMeansSynopsis,
     NaiveBayesSynopsis,
-    NearestNeighborSynopsis,
     build_synopsis,
 )
 
@@ -115,43 +112,6 @@ class TestKMeansVariants:
         assert synopsis.ranked_fixes(np.asarray([0.1, 0, 0]))[0][0] == "fix_b"
 
 
-class TestEnsemble:
-    def _members(self):
-        return [
-            NearestNeighborSynopsis(FIXES),
-            KMeansSynopsis(FIXES),
-            NaiveBayesSynopsis(FIXES),
-        ]
-
-    def test_trains_members_through_wrapper(self, rng):
-        ensemble = EnsembleSynopsis(FIXES, self._members())
-        for symptoms, kind in _training_pairs(rng, n_per_class=6):
-            ensemble.add_success(symptoms, kind)
-        for member in ensemble.members:
-            assert member.n_samples == 18
-        assert ensemble.ranked_fixes(np.asarray([8.0, 0, 0]))[0][0] == "fix_a"
-
-    def test_member_weights_track_accuracy(self, rng):
-        ensemble = EnsembleSynopsis(FIXES, self._members())
-        for symptoms, kind in _training_pairs(rng):
-            ensemble.add_success(symptoms, kind)
-        for member in ensemble.members:
-            weight = ensemble.member_weight(member.name)
-            assert 0.05 <= weight <= 1.0
-
-    def test_empty_members_rejected(self):
-        with pytest.raises(ValueError):
-            EnsembleSynopsis(FIXES, [])
-
-    def test_build_synopsis_unknown(self):
-        with pytest.raises(KeyError):
-            build_synopsis("oracle", FIXES)
-
-    def test_training_time_accumulates_member_costs(self, rng):
-        ensemble = EnsembleSynopsis(FIXES, self._members())
-        for symptoms, kind in _training_pairs(rng, n_per_class=4):
-            ensemble.add_success(symptoms, kind)
-        # The base-class timer wraps the ensemble _fit (which fits all
-        # members), so the counter must grow, not be reset to ~0.
-        assert ensemble.training_time_s > 0.0
-        assert ensemble.fit_count == ensemble.n_samples
+def test_build_synopsis_unknown():
+    with pytest.raises(KeyError):
+        build_synopsis("oracle", FIXES)

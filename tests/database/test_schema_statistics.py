@@ -96,8 +96,9 @@ class TestStatisticsCatalog:
         schema = rubis_schema()
         catalog = StatisticsCatalog(schema, auto_analyze_threshold=1.3)
         schema["items"].grow(int(schema["items"].rows * 0.5))
-        refreshed = catalog.run_auto_analyze(now=2)
-        assert "items" in refreshed
+        catalog.auto_analyze_and_max_staleness(now=2)
+        assert catalog.statistics_for("items").analyzed_at == 2
+        assert catalog.analyze_count == 1
 
     def test_auto_analyze_blind_to_skew_drift(self):
         """The realistic gap that lets stale-stats failures persist."""
@@ -105,7 +106,8 @@ class TestStatisticsCatalog:
         catalog = StatisticsCatalog(schema)
         stats = catalog.statistics_for("bids")
         stats.recorded_skew["item_id"] = 800.0  # phantom skew
-        assert catalog.run_auto_analyze(now=3) == []
+        catalog.auto_analyze_and_max_staleness(now=3)
+        assert catalog.analyze_count == 0
         assert stats.estimated_skew("item_id") == 800.0
 
     def test_auto_analyze_disabled(self):
@@ -113,7 +115,9 @@ class TestStatisticsCatalog:
         catalog = StatisticsCatalog(schema)
         catalog.auto_analyze_enabled = False
         schema["items"].grow(schema["items"].rows * 5)
-        assert catalog.run_auto_analyze(now=1) == []
+        catalog.auto_analyze_and_max_staleness(now=1)
+        assert catalog.analyze_count == 0
+        assert catalog.statistics_for("items").analyzed_at == 0
 
     def test_unknown_table_rejected(self):
         catalog = StatisticsCatalog(rubis_schema())

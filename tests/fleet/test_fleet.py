@@ -134,7 +134,8 @@ class TestSynopsisMerge:
 
         receiver = NearestNeighborSynopsis(ALL_FIX_KINDS)
         fits_before = receiver.fit_count
-        merged = receiver.merge_samples(donor.export_samples())
+        pairs = list(zip(donor.dataset.features, donor.dataset.labels))
+        merged = receiver.merge_samples(pairs)
         assert merged == 2
         assert receiver.n_samples == 2
         assert receiver.fit_count == fits_before + 1

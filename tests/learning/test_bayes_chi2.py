@@ -1,11 +1,12 @@
-"""Tests for naive Bayes, the TAN Bayesian network, and chi-squared tests."""
+"""Tests for naive Bayes, the TAN Bayesian network, and the chi-squared
+survival function."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from repro.learning.bayesnet import DiscreteBayesNet, discretize
-from repro.learning.chi2 import chi2_goodness_of_fit, chi2_independence, chi2_sf
+from repro.learning.chi2 import chi2_sf
 from repro.learning.naive_bayes import GaussianNaiveBayes
 
 
@@ -101,36 +102,3 @@ class TestChi2:
             chi2_sf(1.0, 0)
         with pytest.raises(ValueError):
             chi2_sf(-1.0, 2)
-
-    def test_goodness_of_fit_matches_scipy(self):
-        observed = np.array([18.0, 30.0, 52.0])
-        expected_props = np.array([0.2, 0.3, 0.5])
-        statistic, p = chi2_goodness_of_fit(observed, expected_props)
-        ref = stats.chisquare(observed, expected_props * observed.sum())
-        assert statistic == pytest.approx(ref.statistic)
-        assert p == pytest.approx(ref.pvalue)
-
-    def test_goodness_of_fit_detects_shift(self):
-        baseline = np.array([0.5, 0.5])
-        _, p_same = chi2_goodness_of_fit(np.array([50.0, 50.0]), baseline)
-        _, p_diff = chi2_goodness_of_fit(np.array([90.0, 10.0]), baseline)
-        assert p_same > 0.9
-        assert p_diff < 1e-6
-
-    def test_goodness_of_fit_degenerate_cases(self):
-        assert chi2_goodness_of_fit(np.zeros(3), np.ones(3)) == (0.0, 1.0)
-        assert chi2_goodness_of_fit(np.ones(3), np.zeros(3)) == (0.0, 1.0)
-
-    def test_independence_matches_scipy(self):
-        table = np.array([[30.0, 10.0], [12.0, 28.0]])
-        statistic, p = chi2_independence(table)
-        ref = stats.chi2_contingency(table, correction=False)
-        assert statistic == pytest.approx(ref.statistic)
-        assert p == pytest.approx(ref.pvalue)
-
-    def test_independence_degenerate(self):
-        assert chi2_independence(np.array([[5.0, 5.0]])) == (0.0, 1.0)
-        with pytest.raises(ValueError):
-            chi2_independence(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            chi2_independence(np.array([[-1.0, 2.0], [1.0, 2.0]]))

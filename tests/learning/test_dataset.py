@@ -6,12 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.learning.dataset import (
-    Dataset,
-    MinMaxScaler,
-    Standardizer,
-    train_test_split,
-)
+from repro.learning.dataset import Dataset, MinMaxScaler
 
 
 class TestDataset:
@@ -60,28 +55,6 @@ class TestDataset:
         assert grown.n_samples == 1
 
 
-class TestStandardizer:
-    def test_zero_mean_unit_std(self, rng):
-        features = rng.normal(3.0, 2.0, size=(200, 4))
-        scaled = Standardizer().fit_transform(features)
-        assert np.allclose(scaled.mean(axis=0), 0.0, atol=1e-9)
-        assert np.allclose(scaled.std(axis=0), 1.0, atol=1e-9)
-
-    def test_constant_feature_passthrough(self):
-        features = np.column_stack([np.arange(5.0), np.full(5, 2.0)])
-        scaled = Standardizer().fit_transform(features)
-        assert np.all(np.isfinite(scaled))
-        assert np.allclose(scaled[:, 1], 0.0)
-
-    def test_use_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            Standardizer().transform(np.zeros((1, 2)))
-
-    def test_fit_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Standardizer().fit(np.empty((0, 3)))
-
-
 class TestMinMaxScaler:
     def test_maps_to_unit_interval(self, rng):
         features = rng.uniform(-10, 10, size=(50, 3))
@@ -113,23 +86,3 @@ class TestMinMaxScaler:
             # Sorting by the original column must leave the scaled
             # column non-decreasing (up to floating rounding).
             assert np.all(np.diff(scaled[order, j]) >= -1e-9)
-
-
-class TestTrainTestSplit:
-    def test_partition_is_exact(self, rng):
-        ds = Dataset(rng.normal(size=(40, 3)), rng.integers(0, 2, 40))
-        train, test = train_test_split(ds, 0.25, rng)
-        assert train.n_samples + test.n_samples == 40
-        assert test.n_samples == 10
-
-    def test_bad_fraction_rejected(self, rng):
-        ds = Dataset(np.zeros((4, 1)), np.zeros(4))
-        with pytest.raises(ValueError):
-            train_test_split(ds, 1.5, rng)
-
-    def test_deterministic_given_seed(self):
-        ds = Dataset(np.arange(20.0).reshape(10, 2), np.arange(10))
-        a1, b1 = train_test_split(ds, 0.3, np.random.default_rng(5))
-        a2, b2 = train_test_split(ds, 0.3, np.random.default_rng(5))
-        assert np.array_equal(a1.features, a2.features)
-        assert np.array_equal(b1.labels, b2.labels)

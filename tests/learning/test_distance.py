@@ -1,4 +1,4 @@
-"""Tests for distance functions."""
+"""Tests for the pairwise Euclidean distance."""
 
 import math
 
@@ -8,24 +8,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.learning.distance import euclidean, manhattan, pairwise_euclidean
-
-_vec = arrays(np.float64, 5, elements=st.floats(-1e4, 1e4, allow_nan=False))
-
-
-def test_euclidean_known_value():
-    assert euclidean([0, 0], [3, 4]) == pytest.approx(5.0)
-
-
-def test_manhattan_known_value():
-    assert manhattan([1, 2], [4, -2]) == pytest.approx(7.0)
-
+from repro.learning.distance import pairwise_euclidean
 
 def test_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        euclidean([1, 2], [1, 2, 3])
-    with pytest.raises(ValueError):
-        manhattan([1], [1, 2])
     with pytest.raises(ValueError):
         pairwise_euclidean(np.zeros((2, 3)), np.zeros((2, 4)))
 
@@ -38,23 +23,8 @@ def test_pairwise_matches_pointwise(rng):
     for i in range(3):
         for j in range(6):
             assert matrix[i, j] == pytest.approx(
-                euclidean(queries[i], points[j]), abs=1e-9
+                np.linalg.norm(queries[i] - points[j]), abs=1e-9
             )
-
-
-@given(_vec, _vec)
-def test_euclidean_symmetry(a, b):
-    assert euclidean(a, b) == pytest.approx(euclidean(b, a), rel=1e-9)
-
-
-@given(_vec)
-def test_euclidean_identity(a):
-    assert euclidean(a, a) == 0.0
-
-
-@given(_vec, _vec, _vec)
-def test_triangle_inequality(a, b, c):
-    assert euclidean(a, c) <= euclidean(a, b) + euclidean(b, c) + 1e-6
 
 
 def test_pairwise_no_negative_from_rounding(rng):

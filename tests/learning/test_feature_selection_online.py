@@ -1,14 +1,10 @@
-"""Tests for attribute ranking and online-learning support."""
+"""Tests for correlation ranking and drift detection."""
 
 import numpy as np
 import pytest
 
-from repro.learning.feature_selection import (
-    correlation_ranking,
-    mutual_information,
-    top_k_features,
-)
-from repro.learning.online import DriftDetector, RetrainScheduler
+from repro.learning.feature_selection import correlation_ranking
+from repro.learning.online import DriftDetector
 
 
 class TestCorrelationRanking:
@@ -38,77 +34,6 @@ class TestCorrelationRanking:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             correlation_ranking(np.zeros((3, 2)), np.zeros(4))
-
-
-class TestMutualInformation:
-    def test_nonlinear_dependence_detected(self, rng):
-        x = rng.normal(size=2000)
-        indicator = (np.abs(x) > 1).astype(int)  # zero linear correlation
-        mi = mutual_information(x, indicator)
-        noise_mi = mutual_information(rng.normal(size=2000), indicator)
-        assert mi > 5 * max(noise_mi, 1e-6)
-
-    def test_empty_series(self):
-        assert mutual_information(np.array([]), np.array([])) == 0.0
-
-
-class TestTopK:
-    def test_returns_sorted_by_strength(self, rng):
-        indicator = rng.normal(size=400)
-        features = np.column_stack(
-            [
-                rng.normal(size=400),
-                indicator + rng.normal(0, 0.5, 400),
-                indicator + rng.normal(0, 0.05, 400),
-            ]
-        )
-        top = top_k_features(features, indicator, 2)
-        assert list(top) == [2, 1]
-
-    def test_mutual_information_method(self, rng):
-        x = rng.normal(size=500)
-        indicator = (np.abs(x) > 1).astype(float)
-        features = np.column_stack([rng.normal(size=500), x])
-        top = top_k_features(
-            features, indicator, 1, method="mutual_information"
-        )
-        assert top[0] == 1
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            top_k_features(np.zeros((5, 2)), np.zeros(5), 1, method="magic")
-        with pytest.raises(ValueError):
-            top_k_features(np.zeros((5, 2)), np.zeros(5), 0)
-
-
-class TestRetrainScheduler:
-    def test_every_one_retrains_each_sample(self):
-        scheduler = RetrainScheduler(every=1)
-        assert [scheduler.observe() for _ in range(3)] == [True, True, True]
-
-    def test_every_three_amortizes(self):
-        scheduler = RetrainScheduler(every=3)
-        assert [scheduler.observe() for _ in range(6)] == [
-            False, False, True, False, False, True,
-        ]
-
-    def test_min_samples_gate(self):
-        scheduler = RetrainScheduler(every=1, min_samples=3)
-        assert [scheduler.observe() for _ in range(4)] == [
-            False, False, True, True,
-        ]
-
-    def test_force_resets_counter(self):
-        scheduler = RetrainScheduler(every=2)
-        scheduler.observe()
-        scheduler.force()
-        assert scheduler.observe() is False
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetrainScheduler(every=0)
-        with pytest.raises(ValueError):
-            RetrainScheduler(min_samples=0)
 
 
 class TestDriftDetector:

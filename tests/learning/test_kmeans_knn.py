@@ -1,11 +1,10 @@
-"""Tests for k-means, per-class centroids, and k-NN."""
+"""Tests for k-means clustering."""
 
 import numpy as np
 import pytest
 
 from repro.learning.distance import pairwise_euclidean
-from repro.learning.kmeans import KMeans, PerClassCentroids
-from repro.learning.knn import KNeighborsClassifier
+from repro.learning.kmeans import KMeans
 
 
 class TestKMeans:
@@ -48,86 +47,3 @@ class TestKMeans:
         points = np.zeros((10, 2))
         model = KMeans(2, rng).fit(points)
         assert model.fitted  # empty-cluster reseeding must not loop
-
-
-class TestPerClassCentroids:
-    def test_centroids_are_class_means(self):
-        features = np.array([[0.0], [2.0], [10.0], [12.0]])
-        labels = np.array(["x", "x", "y", "y"])
-        model = PerClassCentroids().fit(features, labels)
-        by_class = dict(zip(model.classes_, model.centroids_[:, 0]))
-        assert by_class["x"] == pytest.approx(1.0)
-        assert by_class["y"] == pytest.approx(11.0)
-
-    def test_multimodal_class_fails_where_knn_succeeds(self, rng):
-        """The Figure 4 plateau mechanism, in miniature.
-
-        Class "fixA" has two far-apart modes; their mean sits in
-        between, right on top of class "fixB" — nearest-centroid must
-        misclassify fixB points that 1-NN gets right.
-        """
-        mode1 = rng.normal([-10, 0], 0.3, (30, 2))
-        mode2 = rng.normal([+10, 0], 0.3, (30, 2))
-        mid = rng.normal([0, 0], 0.3, (30, 2))
-        features = np.vstack([mode1, mode2, mid])
-        labels = np.array(["fixA"] * 60 + ["fixB"] * 30)
-
-        centroid = PerClassCentroids().fit(features, labels)
-        knn = KNeighborsClassifier(1).fit(features, labels)
-        test = rng.normal([0, 0], 0.3, (20, 2))  # fixB territory
-        centroid_acc = np.mean(centroid.predict(test) == "fixB")
-        knn_acc = np.mean(knn.predict(test) == "fixB")
-        assert knn_acc == 1.0
-        assert centroid_acc < 0.5
-
-    def test_proba_sums_to_one(self, blob_data):
-        features, labels = blob_data
-        model = PerClassCentroids().fit(features, labels)
-        proba = model.predict_proba(features[:7])
-        assert np.allclose(proba.sum(axis=1), 1.0)
-
-
-class TestKNN:
-    def test_k1_matches_paper_rule(self):
-        """k=1: the fix of the single closest observed point."""
-        features = np.array([[0.0], [10.0]])
-        labels = np.array(["near", "far"])
-        model = KNeighborsClassifier(1).fit(features, labels)
-        assert model.predict(np.array([[1.0]]))[0] == "near"
-        assert model.predict(np.array([[9.0]]))[0] == "far"
-
-    def test_majority_vote_k3(self):
-        features = np.array([[0.0], [0.1], [0.2], [5.0]])
-        labels = np.array(["a", "a", "b", "b"])
-        model = KNeighborsClassifier(3).fit(features, labels)
-        assert model.predict(np.array([[0.05]]))[0] == "a"
-
-    def test_tie_breaks_to_closest(self):
-        features = np.array([[0.0], [1.0]])
-        labels = np.array(["a", "b"])
-        model = KNeighborsClassifier(2).fit(features, labels)
-        assert model.predict(np.array([[0.2]]))[0] == "a"
-
-    def test_partial_fit_appends(self):
-        model = KNeighborsClassifier(1)
-        model.partial_fit(np.array([0.0]), "a")
-        model.partial_fit(np.array([10.0]), "b")
-        assert model.n_samples == 2
-        assert model.predict(np.array([[9.0]]))[0] == "b"
-
-    def test_proba_shares(self):
-        features = np.array([[0.0], [0.1], [0.2]])
-        labels = np.array(["a", "a", "b"])
-        model = KNeighborsClassifier(3).fit(features, labels)
-        proba, classes = model.predict_proba(np.array([[0.0]]))
-        by_class = dict(zip(classes, proba[0]))
-        assert by_class["a"] == pytest.approx(2 / 3)
-        assert by_class["b"] == pytest.approx(1 / 3)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            KNeighborsClassifier(0)
-        with pytest.raises(ValueError):
-            KNeighborsClassifier(1).fit(np.empty((0, 2)), np.empty(0))
-        with pytest.raises(RuntimeError):
-            KNeighborsClassifier(1).predict(np.zeros((1, 2)))

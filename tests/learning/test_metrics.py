@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.learning.metrics import accuracy, confusion_matrix, macro_f1
+from repro.learning.metrics import accuracy, confusion_matrix
 
 
 def test_accuracy_basic():
@@ -39,15 +39,3 @@ def test_confusion_matrix_with_explicit_labels():
     )
     assert matrix.shape == (3, 3)
     assert matrix[0, 0] == 1
-
-
-def test_macro_f1_perfect():
-    y = np.array([0, 1, 2, 0])
-    assert macro_f1(y, y) == pytest.approx(1.0)
-
-
-def test_macro_f1_one_class_wrong():
-    y_true = np.array([0, 0, 1, 1])
-    y_pred = np.array([0, 0, 0, 0])
-    # class 0: precision 0.5, recall 1 -> f1 = 2/3; class 1: f1 = 0.
-    assert macro_f1(y_true, y_pred) == pytest.approx((2 / 3) / 2)

@@ -1,9 +1,9 @@
-"""Tests for decision stumps and shallow trees (boosting weak learners)."""
+"""Tests for the Gini split search and shallow trees (boosting weak learners)."""
 
 import numpy as np
 import pytest
 
-from repro.learning.stumps import DecisionStump, best_gini_split
+from repro.learning.stumps import best_gini_split
 from repro.learning.tree import DecisionTree
 
 
@@ -48,36 +48,6 @@ class TestGiniSplit:
         onehot = _onehot(labels, heavy, np.array([0, 1]))
         _, _, threshold = best_gini_split(features, onehot)
         assert 1.0 < threshold < 10.0
-
-
-class TestDecisionStump:
-    def test_predicts_majority_per_side(self):
-        features = np.array([[0.0], [0.5], [9.0], [9.5]])
-        labels = np.array(["left", "left", "right", "right"])
-        stump = DecisionStump().fit(
-            features, labels, np.ones(4), np.unique(labels)
-        )
-        pred = stump.predict(np.array([[0.1], [9.9]]))
-        assert list(pred) == ["left", "right"]
-
-    def test_constant_data_predicts_majority(self):
-        stump = DecisionStump().fit(
-            np.ones((3, 2)),
-            np.array([1, 1, 0]),
-            np.ones(3),
-            np.array([0, 1]),
-        )
-        assert list(stump.predict(np.zeros((2, 2)))) == [1, 1]
-
-    def test_zero_samples_rejected(self):
-        with pytest.raises(ValueError):
-            DecisionStump().fit(
-                np.empty((0, 2)), np.empty(0), np.empty(0), np.array([0])
-            )
-
-    def test_use_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            DecisionStump().predict(np.zeros((1, 1)))
 
 
 class TestDecisionTree:

@@ -65,14 +65,6 @@ class TestBaselineModel:
         with pytest.raises(RuntimeError):
             baseline.fit_baseline()
 
-    def test_refresh_gated_on_health(self, warm_service):
-        _, store, _ = _filled_store(warm_service)
-        baseline = BaselineModel(store, 120, 8)
-        baseline.refresh_if_healthy(violated=True)
-        assert not baseline.ready
-        baseline.refresh_if_healthy(violated=False)
-        assert baseline.ready
-
     def test_window_validation(self):
         store = MetricStore(["a"])
         with pytest.raises(ValueError):
@@ -82,11 +74,6 @@ class TestBaselineModel:
 
 
 class TestCallMatrixTracer:
-    def test_baseline_split_normalized(self, warm_service):
-        _, _, tracer = _filled_store(warm_service)
-        split = tracer.baseline_split("__servlet__")
-        assert split.sum() == pytest.approx(1.0)
-
     def test_wedged_bean_is_most_anomalous_caller(self, warm_service):
         _, _, tracer = _filled_store(warm_service)
         tracer.freeze_baseline()

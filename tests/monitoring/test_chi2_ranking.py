@@ -1,10 +1,12 @@
 """Caller ranking reads the χ² statistic and never the p-value.
 
-``chi2_statistic`` is split out of ``chi2_goodness_of_fit`` so that
+``chi2_statistic`` stands apart from ``chi2_sf`` so that
 ``CallMatrixTracer.most_anomalous_caller``, which ranks beans for a
 microreboot, never calls ``chi2_sf``.  The ``reference_*`` functions
 are the implementations from before the split, kept here verbatim as
 the oracle: every value must match them bit for bit.
+``chi2_goodness_of_fit`` below joins the statistic and its p-value
+again, and scipy cross-checks it.
 """
 
 from __future__ import annotations
@@ -16,11 +18,24 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 from repro.learning import chi2
-from repro.learning.chi2 import chi2_goodness_of_fit, chi2_sf, chi2_statistic
+from repro.learning.chi2 import chi2_sf, chi2_statistic
 from repro.monitoring import tracing
 from repro.monitoring.tracing import CallMatrixTracer
+
+
+def chi2_goodness_of_fit(observed, expected_proportions):
+    """Test whether observed counts follow baseline proportions.
+
+    Takes :func:`chi2_statistic`'s arguments and returns ``(statistic,
+    p_value)``; its degenerate case is "no deviation" ``(0.0, 1.0)``.
+    """
+    statistic, dof = chi2_statistic(observed, expected_proportions)
+    if dof == 0:
+        return 0.0, 1.0
+    return statistic, chi2_sf(statistic, dof)
 
 
 def reference_goodness_of_fit(observed, expected_proportions):
@@ -130,6 +145,23 @@ def test_statistic_is_the_goodness_of_fit_statistic(pair):
 def test_degenerate_cases_have_no_degrees_of_freedom(observed, proportions):
     assert chi2_statistic(observed, proportions) == (0.0, 0)
     assert chi2_goodness_of_fit(observed, proportions) == (0.0, 1.0)
+
+
+def test_goodness_of_fit_matches_scipy():
+    observed = np.array([18.0, 30.0, 52.0])
+    expected_props = np.array([0.2, 0.3, 0.5])
+    statistic, p = chi2_goodness_of_fit(observed, expected_props)
+    ref = stats.chisquare(observed, expected_props * observed.sum())
+    assert statistic == pytest.approx(ref.statistic)
+    assert p == pytest.approx(ref.pvalue)
+
+
+def test_goodness_of_fit_detects_shift():
+    baseline = np.array([0.5, 0.5])
+    _, p_same = chi2_goodness_of_fit(np.array([50.0, 50.0]), baseline)
+    _, p_diff = chi2_goodness_of_fit(np.array([90.0, 10.0]), baseline)
+    assert p_same > 0.9
+    assert p_diff < 1e-6
 
 
 CALLERS = ["__servlet__", "A", "B", "C"]

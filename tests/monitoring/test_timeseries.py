@@ -50,17 +50,19 @@ class TestWindowBetween:
     def test_offset_skips_recent(self, store):
         for i in range(6):
             store.append(i, np.array([float(i), 0.0]))
-        window = store.window_between(2, 3)
+        window = store.window_between_view(2, 3)
         assert np.array_equal(window[:, 0], [1.0, 2.0, 3.0])
 
     def test_zero_offset_equals_window(self, store):
         for i in range(6):
             store.append(i, np.array([float(i), 0.0]))
-        assert np.array_equal(store.window_between(0, 4), store.window(4))
+        assert np.array_equal(
+            store.window_between_view(0, 4), store.window(4)
+        )
 
     def test_offset_beyond_data_is_empty(self, store):
         store.append(0, np.zeros(2))
-        assert store.window_between(5, 3).shape == (0, 2)
+        assert store.window_between_view(5, 3).shape == (0, 2)
 
 
 class TestSeries:
@@ -93,4 +95,4 @@ def test_validation():
     with pytest.raises(ValueError):
         store.window(0)
     with pytest.raises(ValueError):
-        store.window_between(-1, 5)
+        store.window_between_view(-1, 5)

@@ -4,13 +4,41 @@ import numpy as np
 import pytest
 
 from repro.simulator.config import ServiceConfig
-from repro.simulator.fastdraw import (
-    JITTER,
-    BufferedNormal,
-    verify_buffered_stream,
-)
+from repro.simulator.fastdraw import JITTER, BufferedNormal
 from repro.simulator.rng import derive_rng
 from repro.simulator.service import MultitierService
+
+
+def verify_buffered_stream(seed: int, draws: int, block: int) -> None:
+    """Assert block fills match scalar draws bitwise on this build.
+
+    Twin generators from the same seed: one serves ``draws`` scalar
+    ``normal(1.0, 0.04)`` calls, the other the same draws through a
+    :class:`BufferedNormal`.  Raises ``AssertionError`` on the first
+    divergence in values or in generator end state.
+    """
+    scalar_rng = np.random.default_rng(seed)
+    buffered_rng = np.random.default_rng(seed)
+    buffered = BufferedNormal(buffered_rng, 1.0, 0.04, block=block)
+    for i in range(draws):
+        expected = float(scalar_rng.normal(1.0, 0.04))
+        got = buffered.normal(1.0, 0.04)
+        assert got == expected, (
+            f"draw {i} diverged: buffered {got!r} != scalar {expected!r}"
+        )
+    # The buffered generator ran ahead by the unconsumed prefetch tail;
+    # equality of the *next* scalar draws proves the streams never
+    # skipped or reordered bits within the consumed prefix.
+    tail = (-draws) % block
+    if tail:
+        leftover = buffered._buf[buffered._pos :]
+        reference = scalar_rng.normal(1.0, 0.04, size=tail)
+        assert np.array_equal(leftover, reference), (
+            "prefetch tail diverged from the scalar stream"
+        )
+    assert (
+        scalar_rng.bit_generator.state == buffered_rng.bit_generator.state
+    ), "generator end states diverged"
 
 
 def test_fresh_service_buffers_web_and_db_jitter():

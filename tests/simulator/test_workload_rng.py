@@ -9,7 +9,6 @@ from repro.simulator.workload import (
     Workload,
     WorkloadProfile,
     bidding_profile,
-    browsing_profile,
 )
 
 
@@ -32,14 +31,9 @@ class TestDeriveRng:
 
 class TestProfiles:
     def test_builtin_profiles_are_valid(self):
-        for profile in (browsing_profile(), bidding_profile()):
-            assert sum(profile.mix.values()) == pytest.approx(1.0)
-            assert set(profile.mix) <= set(REQUEST_TYPES)
-
-    def test_browsing_profile_is_read_only(self):
-        profile = browsing_profile()
-        for write_type in ("PlaceBid", "BuyNow", "Sell", "RegisterUser"):
-            assert profile.probability(write_type) == 0.0
+        profile = bidding_profile()
+        assert sum(profile.mix.values()) == pytest.approx(1.0)
+        assert set(profile.mix) <= set(REQUEST_TYPES)
 
     def test_invalid_profiles_rejected(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,10 @@ three and drives the FixSym paths that once pulled in heavier
 libraries: ranking beans for a microreboot (the χ² statistic) and
 counting deadlocks (the wait-for graph).  A library that only a rarely
 taken path needs is imported inside that function instead, and no
-package ``__init__`` on the way loads the paper's figure and table
-harnesses or the scenario fuzzer.  The fleet runner's workers talk to
+package ``__init__`` on the way loads modules by re-exporting their
+names: not the paper's figure and table harnesses, not the scenario
+fuzzer, and not the diagnosis-based approaches or the learners that
+only they and the benches use.  The fleet runner's workers talk to
 their coordinator over pipes, so nothing loads shared memory either.
 """
 
@@ -31,7 +33,16 @@ ALLOWED = {"numpy", "orjson"}
 # needs.
 UNWANTED = (
     "multiprocessing.shared_memory",
+    "repro.core.approaches.anomaly",
+    "repro.core.approaches.bottleneck",
+    "repro.core.approaches.combined",
+    "repro.core.approaches.correlation",
+    "repro.core.confidence",
     "repro.healing.proactive",
+    "repro.learning.bayesnet",
+    "repro.learning.feature_selection",
+    "repro.learning.metrics",
+    "repro.learning.online",
     "repro.scenarios.corpus",
     "repro.scenarios.generator",
     "repro.telemetry.metrics",
